@@ -12,12 +12,12 @@
 
 use crate::proto::{
     encode_request_flagged, DecodeError, Frame, FrameReader, IndexInfo, Kind, Reply, Request,
-    Status,
+    Status, READ_BUF,
 };
 use crate::transport::Transport;
 use bytes::{Buf, BytesMut};
 use hint_core::{AllenRelation, Interval, IntervalId, QuerySink, RangeQuery};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -50,7 +50,7 @@ impl From<io::Error> for ClientError {
 
 /// A connection to a serve endpoint over any [`Transport`].
 pub struct Client<T: Transport> {
-    frames: FrameReader<T::Reader>,
+    frames: FrameReader<BufReader<T::Reader>>,
     writer: T::Writer,
     scratch: BytesMut,
 }
@@ -61,7 +61,7 @@ impl<T: Transport> Client<T> {
     pub fn new(transport: T) -> io::Result<Self> {
         let (reader, writer) = transport.split()?;
         Ok(Self {
-            frames: FrameReader::new(reader),
+            frames: FrameReader::new(BufReader::with_capacity(READ_BUF, reader)),
             writer,
             scratch: BytesMut::new(),
         })

@@ -29,7 +29,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hint_core::{AllenRelation, Interval, RangeQuery, Time};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 
 /// First byte of every frame ('i' for interval).
 pub const MAGIC: u8 = 0x69;
@@ -553,6 +553,17 @@ pub fn encode_results(out: &mut BytesMut, ids_le: &[u8]) {
     out.put_slice(ids_le);
 }
 
+/// Appends the header of a `Results` frame carrying `ids` ids; the
+/// caller appends exactly `ids` little-endian ids after it.
+///
+/// # Panics
+/// Panics if `ids` exceeds [`RESULTS_PER_FRAME`], an internal invariant
+/// of the encoding sink.
+pub(crate) fn encode_results_header(out: &mut BytesMut, ids: usize) {
+    assert!(ids <= RESULTS_PER_FRAME, "results chunk too large");
+    put_header(out, Kind::Results, (ids * 8) as u32);
+}
+
 /// Encodes an end-of-results trailer.
 pub fn encode_end(out: &mut BytesMut, reply: Reply) {
     put_header(out, Kind::End, 9);
@@ -759,9 +770,17 @@ impl Frame {
     }
 }
 
+/// Read-buffer size the server's connection readers and the client put
+/// under their [`FrameReader`]s: one `read` takes in a whole pipelined
+/// burst (a `Query` frame is 24 bytes, so thousands fit), which then
+/// decodes frame after frame without a syscall each.
+pub(crate) const READ_BUF: usize = 64 * 1024;
+
 /// Incremental frame reader over any blocking byte stream.
 ///
-/// Reads exactly one frame per [`read_frame`](Self::read_frame) call;
+/// Reads exactly one frame per [`read_frame`](Self::read_frame) call
+/// (wrap the stream in a [`BufReader`] so small frames cost no syscall
+/// each);
 /// EOF *between* frames is a clean close (`Ok(None)`), EOF *inside* a
 /// frame is [`DecodeError::Io`]. Unknown-but-plausible headers (valid
 /// magic/version/length, unknown kind byte) skip their payload and
@@ -815,6 +834,23 @@ impl<R: Read> FrameReader<R> {
     /// Consumes the reader, returning the stream.
     pub fn into_inner(self) -> R {
         self.inner
+    }
+}
+
+impl<R: Read> FrameReader<BufReader<R>> {
+    /// True when the next [`read_frame`](Self::read_frame) decodes from
+    /// bytes already buffered: a whole frame, or a header the reader
+    /// rejects without reading its payload. Never blocks.
+    pub(crate) fn has_buffered_frame(&self) -> bool {
+        let buf = self.inner.buffer();
+        if buf.len() < HEADER_LEN {
+            return false;
+        }
+        let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+        buf[0] != MAGIC
+            || buf[1] != VERSION
+            || len > MAX_PAYLOAD
+            || buf.len() - HEADER_LEN >= len as usize
     }
 }
 
@@ -1150,6 +1186,43 @@ mod tests {
         // the junk frame's payload was skipped; the next frame decodes
         let f = rd.read_frame().unwrap().unwrap();
         assert_eq!(f.to_request().unwrap(), Request::Seal);
+    }
+
+    #[test]
+    fn has_buffered_frame_sees_whole_frames_only() {
+        let mut out = BytesMut::new();
+        encode_request(&mut out, &Request::Query(RangeQuery::new(1, 2)));
+        encode_request(&mut out, &Request::Seal);
+        let mut bytes = Vec::from(out);
+        bytes.extend_from_slice(&[MAGIC, VERSION, 0x01, 0, 16, 0, 0, 0, 9, 9]);
+        let mut rd = FrameReader::new(BufReader::new(io::Cursor::new(bytes)));
+        assert!(!rd.has_buffered_frame(), "nothing read yet");
+        let f = rd.read_frame().unwrap().unwrap();
+        assert_eq!(
+            f.to_request().unwrap(),
+            Request::Query(RangeQuery::new(1, 2))
+        );
+        assert!(rd.has_buffered_frame());
+        assert_eq!(
+            rd.read_frame().unwrap().unwrap().to_request(),
+            Ok(Request::Seal)
+        );
+        assert!(!rd.has_buffered_frame(), "a partial frame is not whole");
+        assert!(matches!(rd.read_frame(), Err(DecodeError::Io(_))));
+        // a header the reader rejects decodes (to its error) without
+        // waiting for a payload
+        let mut rd = FrameReader::new(BufReader::new(io::Cursor::new(vec![
+            MAGIC, VERSION, 0x04, 0, 0, 0, 0, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0,
+        ])));
+        assert_eq!(
+            rd.read_frame().unwrap().unwrap().to_request(),
+            Ok(Request::Seal)
+        );
+        assert!(rd.has_buffered_frame());
+        assert!(matches!(
+            rd.read_frame(),
+            Err(DecodeError::Desync(Status::BadMagic))
+        ));
     }
 
     #[test]

@@ -19,6 +19,22 @@
 //! dirty shards at a re-tuned per-shard `m` chosen from the observed
 //! query-extent mix (`HINT_SERVE_RETUNE=idle`; see `docs/tuning.md`).
 //!
+//! ## Wire path
+//!
+//! The wire path is batch-shaped from socket to socket. The reader
+//! reads through a fixed-size buffer, decodes every whole frame one
+//! read delivered, and forwards them to the scheduler as one batch op,
+//! so a pipelined burst wakes the scheduler once; the admission gate
+//! still meters each request, in order. When a query batch executes,
+//! the scheduler encodes each connection's replies, in that
+//! connection's FIFO order, into one buffer recycled from the
+//! connection's bounded free list, and sends it as one message. The
+//! writer blocks for the first buffer, drains every buffer already
+//! queued behind it, writes them all with one vectored write, and hands
+//! them back to the free list, so a warm connection allocates no reply
+//! buffers. The bytes on the wire are the same as with one write per
+//! reply; only their grouping into reads and writes differs.
+//!
 //! ## Batching policy
 //!
 //! Queries accumulate in arrival order until either the batch window
@@ -58,7 +74,7 @@
 use crate::controller::{ControllerConfig, WindowController};
 use crate::proto::{
     encode_end, encode_index_infos, encode_results, encode_snapshot_chunk, Command, DecodeError,
-    FrameReader, IndexInfo, Reply, Request, Status,
+    FrameReader, IndexInfo, Reply, Request, Status, READ_BUF,
 };
 use crate::sink::{Records, ServeSink, WireSink};
 use crate::transport::Transport;
@@ -66,9 +82,9 @@ use bytes::{BufMut, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hint_core::env::{Switch, WindowMode};
 use hint_core::{Domain, HintMSubs, Interval, RangeQuery, Session, ShardedIndex, SubsConfig};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -87,6 +103,17 @@ const PAIRS_PER_FRAME: usize = 512;
 /// Hard ceiling on histogram buckets per request, so a wire-controlled
 /// width cannot make the server allocate unboundedly.
 const MAX_HIST_BUCKETS: u128 = 1 << 16;
+
+/// Most queued reply buffers the writer thread drains into one vectored
+/// write.
+const WRITE_DRAIN: usize = 64;
+
+/// Most recycled reply buffers a connection keeps.
+const FREE_BUFS: usize = 4;
+
+/// Largest reply buffer worth recycling; a bigger one (a huge answer)
+/// is freed rather than pinned for the connection's lifetime.
+const FREE_BUF_MAX: usize = 1 << 20;
 
 /// Shard fan-out for indexes created over the wire.
 const CREATED_SHARDS: usize = 4;
@@ -314,18 +341,11 @@ type ConnId = u64;
 
 /// What reader threads (and the server handle) feed the scheduler.
 enum Op {
-    /// A connection came up; its response bytes go to this channel and
-    /// its outstanding-request counter is the shared handle the
-    /// scheduler decrements as replies go out.
-    Conn(ConnId, Sender<Vec<u8>>, Arc<AtomicUsize>),
-    /// A well-formed request with its catalog addressing. The flag is
-    /// the reader-side admission verdict: `true` means the request was
-    /// over budget at the gate and must be shed (FIFO-positioned
-    /// `Overloaded` trailer, no walk).
-    Request(ConnId, Command, bool),
-    /// A malformed-but-framed request: answer with an error trailer,
-    /// keep the connection.
-    Invalid(ConnId, Status),
+    /// A connection came up, with the scheduler's handles on it.
+    Conn(ConnId, ConnState),
+    /// Every whole frame one read of the connection delivered, decoded
+    /// in arrival order: one scheduler wake-up per burst, not per frame.
+    Batch(ConnId, Vec<Inbound>),
     /// The connection's stream is beyond recovery: answer with an error
     /// trailer, then close it.
     Fatal(ConnId, Status),
@@ -333,6 +353,66 @@ enum Op {
     Disconnect(ConnId),
     /// Stop serving (flush pending work first).
     Stop,
+}
+
+/// One decoded frame of an [`Op::Batch`].
+enum Inbound {
+    /// A well-formed request with its catalog addressing. The flag is
+    /// the reader-side admission verdict: `true` means the request was
+    /// over budget at the gate and must be shed (FIFO-positioned
+    /// `Overloaded` trailer, no walk).
+    Request(Command, bool),
+    /// A malformed-but-framed request: answer with an error trailer,
+    /// keep the connection.
+    Invalid(Status),
+}
+
+/// A connection's recycled reply buffers: the scheduler encodes each
+/// batch's replies into one it takes from here, and the writer thread
+/// gives it back once written, so a warm connection stops allocating
+/// per reply. Bounded in count ([`FREE_BUFS`]) and in size
+/// ([`FREE_BUF_MAX`]).
+#[derive(Clone, Default)]
+struct FreeList(Arc<Mutex<Vec<BytesMut>>>);
+
+impl FreeList {
+    fn take(&self) -> BytesMut {
+        self.0.lock().pop().unwrap_or_default()
+    }
+
+    fn give(&self, mut buf: BytesMut) {
+        if buf.capacity() > FREE_BUF_MAX {
+            return;
+        }
+        buf.clear();
+        let mut free = self.0.lock();
+        if free.len() < FREE_BUFS {
+            free.push(buf);
+        }
+    }
+}
+
+/// Writes `bufs` in order with as few vectored writes as the stream
+/// accepts (one per [`WRITE_DRAIN`] buffers, on a socket with room),
+/// resuming after partial writes.
+fn write_all_vectored(w: &mut impl Write, bufs: &[BytesMut]) -> io::Result<()> {
+    for group in bufs.chunks(WRITE_DRAIN) {
+        let mut slices = [IoSlice::new(&[]); WRITE_DRAIN];
+        for (slice, buf) in slices.iter_mut().zip(group) {
+            *slice = IoSlice::new(buf.as_slice());
+        }
+        let mut left = &mut slices[..group.len()];
+        IoSlice::advance_slices(&mut left, 0); // skip leading empty buffers
+        while !left.is_empty() {
+            match w.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The admission gate every reader thread checks before forwarding a
@@ -423,41 +503,54 @@ fn spawn_connection_with<T: Transport>(
         // no write half to carry a rejection: drop; the peer sees EOF
         Err(_) => return,
     };
-    let (resp_tx, resp_rx) = unbounded::<Vec<u8>>();
+    let (resp_tx, resp_rx) = unbounded::<BytesMut>();
     let inflight = Arc::new(AtomicUsize::new(0));
+    let free = FreeList::default();
     // register before the reader can produce the first request so the
     // scheduler always knows the connection
-    let _ = ops.send(Op::Conn(id, resp_tx, Arc::clone(&inflight)));
+    let _ = ops.send(Op::Conn(
+        id,
+        ConnState {
+            tx: resp_tx,
+            default_index: 0,
+            inflight: Arc::clone(&inflight),
+            free: free.clone(),
+        },
+    ));
     let reader_ops = ops.clone();
     let read = spawn(
         format!("serve-read-{id}"),
         Box::new(move || {
-            let mut frames = FrameReader::new(reader);
+            let mut frames = FrameReader::new(BufReader::with_capacity(READ_BUF, reader));
             loop {
-                let op = match frames.read_frame() {
-                    Ok(Some(frame)) => match frame.to_command() {
-                        Ok(cmd) => {
-                            let shed = shed_at_gate(&gate, &inflight, &cmd);
-                            Op::Request(id, cmd, shed)
-                        }
-                        Err(status) => Op::Invalid(id, status),
-                    },
-                    Ok(None) => {
-                        let _ = reader_ops.send(Op::Disconnect(id));
-                        return;
+                // block for one frame, then decode every whole frame
+                // that read already buffered; the admission gate still
+                // meters each request, in order
+                let mut batch = Vec::new();
+                let end = loop {
+                    match frames.read_frame() {
+                        Ok(Some(frame)) => batch.push(match frame.to_command() {
+                            Ok(cmd) => {
+                                let shed = shed_at_gate(&gate, &inflight, &cmd);
+                                Inbound::Request(cmd, shed)
+                            }
+                            Err(status) => Inbound::Invalid(status),
+                        }),
+                        Ok(None) => break Some(Op::Disconnect(id)),
+                        Err(DecodeError::Frame(status)) => batch.push(Inbound::Invalid(status)),
+                        Err(DecodeError::Desync(status)) => break Some(Op::Fatal(id, status)),
+                        Err(DecodeError::Io(_)) => break Some(Op::Fatal(id, Status::Truncated)),
                     }
-                    Err(DecodeError::Frame(status)) => Op::Invalid(id, status),
-                    Err(DecodeError::Desync(status)) => {
-                        let _ = reader_ops.send(Op::Fatal(id, status));
-                        return;
-                    }
-                    Err(DecodeError::Io(_)) => {
-                        let _ = reader_ops.send(Op::Fatal(id, Status::Truncated));
-                        return;
+                    if !frames.has_buffered_frame() {
+                        break None;
                     }
                 };
-                if reader_ops.send(op).is_err() {
+                if !batch.is_empty() && reader_ops.send(Op::Batch(id, batch)).is_err() {
                     return; // scheduler gone: server shut down
+                }
+                if let Some(op) = end {
+                    let _ = reader_ops.send(op);
+                    return;
                 }
             }
         }),
@@ -482,12 +575,22 @@ fn spawn_connection_with<T: Transport>(
     let write = spawn(
         format!("serve-write-{id}"),
         Box::new(move || {
-            for chunk in resp_rx.iter() {
-                if writer
-                    .write_all(&chunk)
-                    .and_then(|_| writer.flush())
-                    .is_err()
-                {
+            // block for one reply buffer, then take every buffer already
+            // queued behind it: one write per drain, not per reply
+            let mut queued = Vec::with_capacity(WRITE_DRAIN);
+            while let Ok(first) = resp_rx.recv() {
+                queued.push(first);
+                while queued.len() < WRITE_DRAIN {
+                    match resp_rx.try_recv() {
+                        Ok(buf) => queued.push(buf),
+                        Err(_) => break,
+                    }
+                }
+                let sent = write_all_vectored(&mut writer, &queued).and_then(|_| writer.flush());
+                for buf in queued.drain(..) {
+                    free.give(buf);
+                }
+                if sent.is_err() {
                     return;
                 }
             }
@@ -828,13 +931,16 @@ impl Catalog {
 
 /// Per-connection scheduler state.
 struct ConnState {
-    tx: Sender<Vec<u8>>,
+    /// The connection's reply channel to its writer thread.
+    tx: Sender<BytesMut>,
     /// Where un-addressed verbs go; index 0 until a `UseIndex`.
     default_index: u32,
     /// The connection's outstanding-request counter, shared with its
     /// reader thread's admission gate; the scheduler decrements it as
     /// each admitted request's reply goes out.
     inflight: Arc<AtomicUsize>,
+    /// Reply buffers the writer thread gives back.
+    free: FreeList,
 }
 
 /// One queued walk-driven request.
@@ -857,12 +963,12 @@ struct JoinStream {
     outer: u64,
     buf: BytesMut,
     pairs: u64,
-    tx: Option<Sender<Vec<u8>>>,
+    tx: Option<Sender<BytesMut>>,
     dead: bool,
 }
 
 impl JoinStream {
-    fn new(tx: Option<Sender<Vec<u8>>>) -> Self {
+    fn new(tx: Option<Sender<BytesMut>>) -> Self {
         Self {
             outer: 0,
             buf: BytesMut::new(),
@@ -881,7 +987,7 @@ impl JoinStream {
         self.buf.clear();
         match &self.tx {
             Some(tx) => {
-                if tx.send(Vec::from(out)).is_err() {
+                if tx.send(out).is_err() {
                     self.dead = true;
                 }
             }
@@ -901,7 +1007,7 @@ impl JoinStream {
             },
         );
         if let Some(tx) = &self.tx {
-            let _ = tx.send(Vec::from(out));
+            let _ = tx.send(out);
         }
     }
 }
@@ -1049,22 +1155,21 @@ impl Scheduler {
                 }
             };
             match op {
-                Op::Conn(id, tx, inflight) => {
-                    self.conns.insert(
-                        id,
-                        ConnState {
-                            tx,
-                            default_index: 0,
-                            inflight,
-                        },
-                    );
+                Op::Conn(id, state) => {
+                    self.conns.insert(id, state);
                 }
-                Op::Request(id, cmd, shed) => self.handle(id, cmd, shed),
-                Op::Invalid(id, status) => {
-                    // flush this connection first so the error trailer
-                    // lands in its FIFO position
-                    self.flush_conn(id);
-                    self.send_end(id, Reply { status, count: 0 });
+                Op::Batch(id, batch) => {
+                    for inbound in batch {
+                        match inbound {
+                            Inbound::Request(cmd, shed) => self.handle(id, cmd, shed),
+                            Inbound::Invalid(status) => {
+                                // flush this connection first so the
+                                // error trailer lands in its FIFO position
+                                self.flush_conn(id);
+                                self.send_end(id, Reply { status, count: 0 });
+                            }
+                        }
+                    }
                 }
                 Op::Fatal(id, status) => {
                     self.flush_conn(id);
@@ -1133,7 +1238,7 @@ impl Scheduler {
             }
             Request::ListIndexes => {
                 self.flush_conn(conn);
-                let mut out = BytesMut::new();
+                let mut out = self.out_buf(conn);
                 encode_index_infos(&mut out, &self.catalog.infos());
                 self.send_bytes(conn, out);
             }
@@ -1671,10 +1776,21 @@ impl Scheduler {
             stats.largest_batch = stats.largest_batch.max(largest);
             stats.replica_reads = replica_reads;
         }
+        // one buffer per connection, its replies in FIFO order, and one
+        // send each: the writer wakes once per batch, not per reply
+        let mut outs: Vec<(ConnId, BytesMut)> = Vec::new();
         for p in items {
-            let mut out = BytesMut::new();
-            p.sink.into_reply(&mut out);
-            self.send_bytes(p.conn, out);
+            let slot = match outs.iter().position(|(c, _)| *c == p.conn) {
+                Some(slot) => slot,
+                None => {
+                    outs.push((p.conn, self.out_buf(p.conn)));
+                    outs.len() - 1
+                }
+            };
+            p.sink.into_reply(&mut outs[slot].1);
+        }
+        for (conn, out) in outs {
+            self.send_bytes(conn, out);
         }
     }
 
@@ -1710,7 +1826,7 @@ impl Scheduler {
     /// chunk frames followed by an `Ok` trailer whose count is the
     /// total byte length.
     fn stream_snapshot(&self, conn: ConnId, bytes: &[u8]) {
-        let mut out = BytesMut::new();
+        let mut out = self.out_buf(conn);
         for chunk in bytes.chunks(SNAP_CHUNK) {
             encode_snapshot_chunk(&mut out, chunk);
         }
@@ -1725,14 +1841,21 @@ impl Scheduler {
     }
 
     fn send_end(&self, conn: ConnId, reply: Reply) {
-        let mut out = BytesMut::new();
+        let mut out = self.out_buf(conn);
         encode_end(&mut out, reply);
         self.send_bytes(conn, out);
     }
 
+    /// An empty reply buffer for `conn`, recycled when one is free.
+    fn out_buf(&self, conn: ConnId) -> BytesMut {
+        self.conns
+            .get(&conn)
+            .map_or_else(BytesMut::new, |c| c.free.take())
+    }
+
     fn send_bytes(&self, conn: ConnId, out: BytesMut) {
         if let Some(c) = self.conns.get(&conn) {
-            let _ = c.tx.send(Vec::from(out));
+            let _ = c.tx.send(out);
         }
     }
 }

@@ -15,7 +15,9 @@
 //! connection: the demux step that lets one merged walk feed many
 //! connections.
 
-use crate::proto::{encode_end, encode_results, Reply, Status, RESULTS_PER_FRAME};
+use crate::proto::{
+    encode_end, encode_results_header, Reply, Status, HEADER_LEN, RESULTS_PER_FRAME,
+};
 use bytes::{BufMut, BytesMut};
 use hint_core::{
     ArenaRun, BucketHistogram, Interval, IntervalId, MergeableSink, QuerySink, RangeQuery,
@@ -78,57 +80,120 @@ impl WireSink {
         }
     }
 
-    /// Appends encoded ids to the frame under construction, cutting a
-    /// `Results` frame into `out` each time it fills. `bytes.len()` and
-    /// the frame capacity are both multiples of 8, so ids never split
-    /// across frames.
-    fn fill(out: &mut BytesMut, frame: &mut BytesMut, mut bytes: &[u8]) {
-        let cap = RESULTS_PER_FRAME * 8;
-        while !bytes.is_empty() {
-            let take = (cap - frame.len()).min(bytes.len());
-            frame.put_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            if frame.len() == cap {
-                encode_results(out, frame.as_slice());
-                frame.clear();
+    /// Consumes the sink, appending its response — result chunks of at
+    /// most [`RESULTS_PER_FRAME`] ids, then the `Ok` end trailer — to a
+    /// connection's outgoing byte buffer. The count is known up front,
+    /// so every `Results` header goes straight into `out` ahead of its
+    /// ids; arena segments are encoded here, straight from the sealed
+    /// arena slice: the final consumer of the zero-copy read path.
+    pub fn into_frames(self, out: &mut BytesMut) {
+        let mut framer = Framer::new(out, self.count);
+        for seg in &self.segments {
+            match seg {
+                Segment::Bytes(b) => framer.encoded(b.as_slice()),
+                Segment::Arena(run) => framer.ids(run.as_slice()),
             }
+        }
+        framer.encoded(self.tail.as_slice());
+        framer.finish();
+    }
+}
+
+/// Appends `ids` in little-endian wire form, a stack chunk at a time:
+/// each chunk is filled with `to_le_bytes` and lands in `out` with one
+/// `put_slice`, so the buffer grows per chunk, not per id.
+fn put_ids(out: &mut BytesMut, ids: &[IntervalId]) {
+    const CHUNK: usize = 128;
+    let mut buf = [0u8; CHUNK * 8];
+    for run in ids.chunks(CHUNK) {
+        for (dst, id) in buf.chunks_exact_mut(8).zip(run) {
+            dst.copy_from_slice(&id.to_le_bytes());
+        }
+        out.put_slice(&buf[..run.len() * 8]);
+    }
+}
+
+/// Cuts one reply's id stream into `Results` frames written in place:
+/// with the total known up front, each frame's header is written before
+/// its ids, so no frame is staged and copied.
+struct Framer<'a> {
+    out: &'a mut BytesMut,
+    /// The reply's total id count (the `End` trailer's count).
+    count: u64,
+    /// Ids still to be written across all frames.
+    left: u64,
+    /// Ids still to be written into the open frame.
+    room: usize,
+}
+
+impl<'a> Framer<'a> {
+    fn new(out: &'a mut BytesMut, count: u64) -> Self {
+        // every Results frame's header and ids, then the trailer's
+        // header and its 9-byte payload
+        let frames = count.div_ceil(RESULTS_PER_FRAME as u64);
+        out.reserve((count * 8 + (frames + 1) * HEADER_LEN as u64 + 9) as usize);
+        Self {
+            out,
+            count,
+            left: count,
+            room: 0,
         }
     }
 
-    /// Consumes the sink, appending its response — result chunks of at
-    /// most [`RESULTS_PER_FRAME`] ids, then the `Ok` end trailer — to a
-    /// connection's outgoing byte buffer. Arena segments are encoded
-    /// here, straight from the sealed arena slice: the final consumer of
-    /// the zero-copy read path.
-    pub fn into_frames(self, out: &mut BytesMut) {
-        let cap = RESULTS_PER_FRAME * 8;
-        let mut frame = BytesMut::with_capacity(cap.min(self.count as usize * 8));
-        for seg in &self.segments {
-            match seg {
-                Segment::Bytes(b) => Self::fill(out, &mut frame, b.as_slice()),
-                Segment::Arena(run) => {
-                    for &id in run.as_slice() {
-                        frame.put_u64_le(id);
-                        if frame.len() == cap {
-                            encode_results(out, frame.as_slice());
-                            frame.clear();
-                        }
-                    }
-                }
-            }
+    /// Ids the open frame still takes, opening the next frame when the
+    /// current one is full.
+    fn room(&mut self) -> usize {
+        if self.room == 0 {
+            assert!(self.left > 0, "reply holds more ids than its count");
+            self.room = self.left.min(RESULTS_PER_FRAME as u64) as usize;
+            encode_results_header(self.out, self.room);
         }
-        Self::fill(out, &mut frame, self.tail.as_slice());
-        if !frame.is_empty() {
-            encode_results(out, frame.as_slice());
+        self.room
+    }
+
+    fn wrote(&mut self, ids: usize) {
+        self.room -= ids;
+        self.left -= ids as u64;
+    }
+
+    /// Appends ids already in wire form (a whole number of ids).
+    fn encoded(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let take = (self.room() * 8).min(bytes.len());
+            self.out.put_slice(&bytes[..take]);
+            self.wrote(take / 8);
+            bytes = &bytes[take..];
         }
+    }
+
+    /// Appends ids, encoding them on the way.
+    fn ids(&mut self, mut ids: &[IntervalId]) {
+        while !ids.is_empty() {
+            let take = self.room().min(ids.len());
+            put_ids(self.out, &ids[..take]);
+            self.wrote(take);
+            ids = &ids[take..];
+        }
+    }
+
+    /// Appends the `Ok` trailer.
+    fn finish(self) {
+        assert_eq!(self.left, 0, "reply holds fewer ids than its count");
         encode_end(
-            out,
+            self.out,
             Reply {
                 status: Status::Ok,
                 count: self.count,
             },
         );
     }
+}
+
+/// Encodes a whole reply of `ids` (result ids, or histogram counts).
+fn ids_reply(out: &mut BytesMut, ids: &[u64]) {
+    let mut framer = Framer::new(out, ids.len() as u64);
+    framer.ids(ids);
+    framer.finish();
 }
 
 impl QuerySink for WireSink {
@@ -140,9 +205,7 @@ impl QuerySink for WireSink {
 
     #[inline]
     fn emit_slice(&mut self, ids: &[IntervalId]) {
-        for &id in ids {
-            self.tail.put_u64_le(id);
-        }
+        put_ids(&mut self.tail, ids);
         self.count += ids.len() as u64;
     }
 
@@ -254,16 +317,8 @@ impl ServeSink {
         match self {
             ServeSink::Range(w) => w.into_frames(out),
             ServeSink::Allen(f) => f.into_inner().into_frames(out),
-            ServeSink::TopK(t) => {
-                let mut w = WireSink::new();
-                w.emit_slice(&t.into_ids());
-                w.into_frames(out);
-            }
-            ServeSink::Hist(h) => {
-                let mut w = WireSink::new();
-                w.emit_slice(&h.into_counts());
-                w.into_frames(out);
-            }
+            ServeSink::TopK(t) => ids_reply(out, &t.into_ids()),
+            ServeSink::Hist(h) => ids_reply(out, &h.into_counts()),
             ServeSink::Empty => encode_end(
                 out,
                 Reply {
@@ -384,7 +439,7 @@ impl MergeableSink for ServeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{DecodeError, FrameReader, Kind};
+    use crate::proto::{encode_results, DecodeError, FrameReader, Kind};
     use bytes::Buf;
 
     /// Decodes the frames `into_frames` wrote back into ids + reply.
@@ -569,6 +624,86 @@ mod tests {
         sink.into_frames(&mut out);
         let (ids, _) = decode(out);
         assert_eq!(ids, vec![1, 2, 100, 101, 3, 4, 102, 103]);
+    }
+
+    /// The in-place framing writes exactly the bytes of the reference
+    /// encoding — `encode_results` over 1024-id chunks of the flat id
+    /// list, then `encode_end` — at every frame-boundary count, from
+    /// every emission route, appended behind earlier replies.
+    #[test]
+    fn into_frames_is_byte_identical_to_chunked_reference() {
+        let hm = hint_core::ARENA_HANDLE_MIN;
+        for n in [0usize, 1, 1023, 1024, 1025, 5000] {
+            let all: Vec<IntervalId> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let arena = Arc::new(all.clone());
+            let run = |st: usize, len: usize| ArenaRun::new(Arc::clone(&arena), st, st + len);
+            let mut sink = WireSink::new();
+            let mut pos = 0;
+            for step in 0.. {
+                if pos == n {
+                    break;
+                }
+                let left = n - pos;
+                match step % 4 {
+                    0 => {
+                        sink.emit(all[pos]);
+                        pos += 1;
+                    }
+                    1 => {
+                        let k = left.min(37);
+                        sink.emit_slice(&all[pos..pos + k]);
+                        pos += k;
+                    }
+                    2 => {
+                        let k = left.min(hm + 29);
+                        sink.emit_arena(&run(pos, k));
+                        pos += k;
+                    }
+                    _ => {
+                        // a fork holding an arena handle and piecewise
+                        // ids, merged back in order
+                        let mut fork = sink.fork();
+                        let k = left.min(hm);
+                        fork.emit_arena(&run(pos, k));
+                        pos += k;
+                        let k = (n - pos).min(5);
+                        fork.emit_slice(&all[pos..pos + k]);
+                        pos += k;
+                        sink.merge(fork);
+                    }
+                }
+            }
+            assert_eq!(sink.count(), n as u64);
+            if n >= hm {
+                assert!(
+                    sink.segments.iter().any(|s| matches!(s, Segment::Arena(_))),
+                    "n = {n}: an arena handle must reach into_frames"
+                );
+            }
+            let earlier = Reply {
+                status: Status::Ok,
+                count: 3,
+            };
+            let mut got = BytesMut::new();
+            encode_end(&mut got, earlier);
+            sink.into_frames(&mut got);
+            let mut want = BytesMut::new();
+            encode_end(&mut want, earlier);
+            for chunk in all.chunks(RESULTS_PER_FRAME) {
+                let le: Vec<u8> = chunk.iter().flat_map(|id| id.to_le_bytes()).collect();
+                encode_results(&mut want, &le);
+            }
+            encode_end(
+                &mut want,
+                Reply {
+                    status: Status::Ok,
+                    count: n as u64,
+                },
+            );
+            assert_eq!(got.as_slice(), want.as_slice(), "n = {n}");
+        }
     }
 
     #[test]

@@ -48,15 +48,31 @@ pub struct PipeWriter {
     tx: Sender<Vec<u8>>,
 }
 
+impl PipeWriter {
+    fn send(&mut self, chunk: Vec<u8>) -> io::Result<usize> {
+        let n = chunk.len();
+        if n > 0 {
+            self.tx
+                .send(chunk)
+                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer reader dropped"))?;
+        }
+        Ok(n)
+    }
+}
+
 impl Write for PipeWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
+        self.send(buf.to_vec())
+    }
+
+    /// Sends all the buffers as one chunk, as `writev` puts them on a
+    /// socket in one call.
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        let mut chunk = Vec::with_capacity(bufs.iter().map(|b| b.len()).sum());
+        for b in bufs {
+            chunk.extend_from_slice(b);
         }
-        self.tx
-            .send(buf.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer reader dropped"))?;
-        Ok(buf.len())
+        self.send(chunk)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -64,8 +80,9 @@ impl Write for PipeWriter {
     }
 }
 
-/// The read half of an in-memory duplex stream: blocks on the channel,
-/// buffering the tail of chunks larger than the caller's read buffer.
+/// The read half of an in-memory duplex stream: a read blocks until
+/// the peer has sent something, then returns every byte already sent
+/// that fits, buffering the tail of the last chunk it touched.
 pub struct PipeReader {
     rx: Receiver<Vec<u8>>,
     /// Unconsumed tail of the last received chunk.
@@ -88,10 +105,25 @@ impl Read for PipeReader {
                 Err(_) => return Ok(0), // every sender gone: EOF
             }
         }
-        let n = (self.pending.len() - self.pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.pending[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
+        // like a socket read: everything already sent that fits, not
+        // just the first chunk
+        let mut n = 0;
+        loop {
+            let take = (self.pending.len() - self.pos).min(buf.len() - n);
+            buf[n..n + take].copy_from_slice(&self.pending[self.pos..self.pos + take]);
+            self.pos += take;
+            n += take;
+            if n == buf.len() {
+                return Ok(n);
+            }
+            match self.rx.try_recv() {
+                Ok(chunk) => {
+                    self.pending = chunk;
+                    self.pos = 0;
+                }
+                Err(_) => return Ok(n),
+            }
+        }
     }
 }
 
@@ -167,6 +199,22 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, vec![7u8; 100]);
+    }
+
+    #[test]
+    fn a_read_takes_every_chunk_already_sent() {
+        let (a, b) = duplex();
+        let (_ar, mut aw) = a.split().unwrap();
+        let (mut br, _bw) = b.split().unwrap();
+        aw.write_all(b"abc").unwrap();
+        aw.write_all(b"defg").unwrap();
+        aw.write_all(b"hi").unwrap();
+        let mut buf = [0u8; 6];
+        assert_eq!(br.read(&mut buf).unwrap(), 6);
+        assert_eq!(&buf, b"abcdef");
+        let mut buf = [0u8; 8];
+        assert_eq!(br.read(&mut buf).unwrap(), 3);
+        assert_eq!(&buf[..3], b"ghi");
     }
 
     #[test]
