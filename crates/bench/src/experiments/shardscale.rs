@@ -8,7 +8,7 @@
 //! dedup-on-emit), and batches of queries fan out with one thread per
 //! shard, per-shard results merged back in shard order.
 //!
-//! Four execution modes per (dataset, extent, K):
+//! Five execution modes per (dataset, extent, K):
 //!
 //! * **solo** — sequential `query_sink`, shards visited in order: the
 //!   routing overhead floor (no parallelism; should stay flat with K);
@@ -26,16 +26,9 @@
 //!   cost of the sharded level walks, no result copying at all;
 //! * **pool** — the same batch through the persistent shard-worker
 //!   pool (`ShardPool::query_batch_merge`): every sub-batch takes a
-//!   channel round-trip to its shard's owning worker;
-//! * **rep4** — the pool with four logical read replicas per shard
-//!   (`HINT_READ_REPLICAS=4` shape): reads answer from epoch-published
-//!   shard images — on spare cores via dedicated reader threads, on a
-//!   single core caller-inline with zero channel hops. An untimed
-//!   in-run differential asserts the replicated answers are
-//!   bit-identical to solo, and `replica_vs_pool` in the JSON tracks
-//!   the read-scaling payoff.
+//!   channel round-trip to its shard's owning worker.
 //!
-//! A fifth column measures **batched ingest**: a burst of time-ordered
+//! A separate table measures **batched ingest**: a burst of time-ordered
 //! appends (landing at the top of the domain, as streaming interval data
 //! does) followed by a reseal that folds the overlay back into the
 //! arenas. Writes route to the single owning shard and resealing a clean
@@ -79,14 +72,6 @@ const EXTENTS: [f64; 3] = [0.0, DEFAULT_EXTENT, 0.01];
 
 /// Batch size for the batched columns (matches `cachelayout`).
 const BATCH: usize = 64;
-
-/// Logical read replicas per shard for the replicated-pool column
-/// (the `HINT_READ_REPLICAS=4` shape). Reader threads are sized
-/// against the machine's worker budget; on a single core the replicas
-/// degenerate to caller-inline epoch reads — the honest single-core
-/// payoff being measured: reads skip the owner worker's channel
-/// round-trip entirely.
-const READ_REPLICAS: usize = 4;
 
 /// Repetitions per measurement; the best run is reported (standard
 /// anti-noise discipline for shared/virtualized CPUs, where a single
@@ -159,7 +144,7 @@ pub fn run(cfg: &RunConfig) {
             ds.domain
         );
         println!(
-            "{:>8} {:>3} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8} {:>9} {:>9} {:>10}",
+            "{:>8} {:>3} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8} {:>9} {:>10}",
             "extent",
             "K",
             "replicas",
@@ -168,24 +153,16 @@ pub fn run(cfg: &RunConfig) {
             "merge q/s",
             "count q/s",
             "pool q/s",
-            "rep4 q/s",
             "scale",
             "mrg/solo",
-            "rep/pool",
             "results"
         );
-        rule(142);
+        rule(119);
         // build (and seal) one sharded index per K up front; each shard
         // keeps the unsharded index's bottom-partition width by dropping
         // log2(K) levels (same resolution, shallower walks — the whole
         // point of giving every shard 1/K of the domain)
-        #[allow(clippy::type_complexity)]
-        let mut indexes: Vec<(
-            usize,
-            ShardedIndex<HintMSubs>,
-            ShardPool<HintMSubs>,
-            ShardPool<HintMSubs>,
-        )> = Vec::new();
+        let mut indexes: Vec<(usize, ShardedIndex<HintMSubs>, ShardPool<HintMSubs>)> = Vec::new();
         for &k in &SHARDS {
             let shard_m = m.saturating_sub(k.trailing_zeros()).max(1);
             let (t_build, sharded) = time(|| {
@@ -227,12 +204,8 @@ pub fn run(cfg: &RunConfig) {
                 sharded.replicated(),
                 mb(sharded.size_bytes()),
             );
-            // two pooled twins per K: the single-reader worker pool and
-            // the epoch-published replicated pool the serve path uses
-            // under HINT_READ_REPLICAS
             let pool = ShardPool::new(sharded.clone());
-            let rpool = ShardPool::with_read_replicas(sharded.clone(), READ_REPLICAS);
-            indexes.push((k, sharded, pool, rpool));
+            indexes.push((k, sharded, pool));
         }
         // batched ingest: a burst of time-ordered appends (top 1/8 of the
         // domain — they land in the last shard for every K in the sweep)
@@ -257,7 +230,7 @@ pub fn run(cfg: &RunConfig) {
             "K", "ingest op/s", "(burst of time-ordered appends + reseal)"
         );
         let mut ingest_rows: Vec<(usize, f64)> = Vec::new();
-        for (k, sharded, _, _) in &indexes {
+        for (k, sharded, _) in &indexes {
             let ingest = best_of(|| {
                 let mut idx = sharded.clone();
                 let t0 = std::time::Instant::now();
@@ -291,13 +264,12 @@ pub fn run(cfg: &RunConfig) {
         for extent in EXTENTS {
             let queries = uniform_queries(&ds, extent, cfg);
             let mut base_batch_qps = 0.0f64;
-            for (k, sharded, pool, rpool) in &indexes {
+            for (k, sharded, pool) in &indexes {
                 let solo = best_of(|| query_throughput(sharded, queries.queries()));
                 let batch = best_of(|| batch_throughput(sharded, queries.queries(), BATCH));
                 let merge = best_of(|| merge_handle_throughput(sharded, queries.queries(), BATCH));
                 let count = best_of(|| merge_count_throughput(sharded, queries.queries(), BATCH));
                 let pooled = best_of(|| pool_batch_throughput(pool, queries.queries(), BATCH));
-                let replicated = best_of(|| pool_batch_throughput(rpool, queries.queries(), BATCH));
                 assert_eq!(
                     solo.results, batch.results,
                     "{} K={k}: batch diverged",
@@ -321,28 +293,6 @@ pub fn run(cfg: &RunConfig) {
                     "{} K={k}: worker pool diverged",
                     ds.name
                 );
-                assert_eq!(
-                    solo.results, replicated.results,
-                    "{} K={k}: replicated pool diverged",
-                    ds.name
-                );
-                // untimed: the replicated read path must be
-                // bit-identical per query, not just total-count equal
-                {
-                    let mut want: Vec<hint_core::IntervalId> = Vec::new();
-                    let mut got: Vec<hint_core::IntervalId> = Vec::new();
-                    for &q in queries.queries().iter().take(256) {
-                        want.clear();
-                        got.clear();
-                        sharded.query_sink(q, &mut want);
-                        IntervalIndex::query_sink(rpool, q, &mut got);
-                        assert_eq!(
-                            got, want,
-                            "{} K={k}: replicated epoch read diverged on {q:?}",
-                            ds.name
-                        );
-                    }
-                }
                 if *k == 1 {
                     base_batch_qps = batch.qps;
                 }
@@ -356,9 +306,8 @@ pub fn run(cfg: &RunConfig) {
                         merge_vs_solo
                     ));
                 }
-                let replica_vs_pool = replicated.qps / pooled.qps.max(1e-9);
                 println!(
-                    "{:>7.2}% {:>3} {:>10} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.2}x {:>8.2}x {:>8.2}x {:>10}",
+                    "{:>7.2}% {:>3} {:>10} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.2}x {:>8.2}x {:>10}",
                     extent * 100.0,
                     k,
                     sharded.replicated(),
@@ -367,10 +316,8 @@ pub fn run(cfg: &RunConfig) {
                     merge.qps,
                     count.qps,
                     pooled.qps,
-                    replicated.qps,
                     scale,
                     merge_vs_solo,
-                    replica_vs_pool,
                     solo.results,
                 );
                 if !rows.is_empty() {
@@ -380,8 +327,7 @@ pub fn run(cfg: &RunConfig) {
                     rows,
                     "\n    {{\"dataset\": \"{}\", \"extent\": {}, \"shards\": {}, \
                      \"solo_qps\": {:.1}, \"batch_qps\": {:.1}, \"merge_qps\": {:.1}, \
-                     \"count_qps\": {:.1}, \"pool_qps\": {:.1}, \"read_replicas\": {}, \
-                     \"replica_qps\": {:.1}, \"replica_vs_pool\": {:.3}, \
+                     \"count_qps\": {:.1}, \"pool_qps\": {:.1}, \
                      \"scale_vs_k1\": {:.3}, \"merge_vs_solo\": {:.3}, \
                      \"results\": {}}}",
                     ds.name,
@@ -392,9 +338,6 @@ pub fn run(cfg: &RunConfig) {
                     merge.qps,
                     count.qps,
                     pooled.qps,
-                    READ_REPLICAS,
-                    replicated.qps,
-                    replica_vs_pool,
                     scale,
                     merge_vs_solo,
                     solo.results,

@@ -50,7 +50,7 @@ impl Display for EnvError {
     }
 }
 
-/// A hardened boolean knob value (`HINT_BATCH_CLUSTER` and friends):
+/// A hardened boolean knob value (`HINT_SERVE_LANES` and friends):
 /// parses `on`/`off` plus the common spellings `1`/`0` and
 /// `true`/`false` (case-insensitive), and renders canonically as
 /// `on`/`off` so fallback warnings read the way the docs spell the
@@ -194,18 +194,6 @@ pub fn var_or<T: FromStr + Display>(
             default
         }
     }
-}
-
-/// `HINT_READ_REPLICAS`: logical read replicas per shard for
-/// [`crate::ShardPool`] (1–64; default 1 = unreplicated). Values ≥ 2
-/// enable epoch publication: reads run against published shard images
-/// instead of queueing on the owning worker. Reader *threads* are sized
-/// separately against the worker budget — see
-/// [`crate::ShardPool::with_read_replicas`].
-pub(crate) fn read_replicas() -> usize {
-    var_or("HINT_READ_REPLICAS", 1usize, "1..=64", |&v| {
-        (1..=64).contains(&v)
-    })
 }
 
 #[cfg(test)]

@@ -61,9 +61,8 @@ pub(crate) type Routed = (u32, RangeQuery, bool);
 /// `HINT_SHARD_THREADS` override if set, else the machine's available
 /// parallelism. `0` is clamped to `1` (the long-standing way to force
 /// the serial inline path); unparsable values warn once on stderr via
-/// [`crate::env`] and fall back to the machine default. Also the budget
-/// [`crate::ShardPool`] sizes its reader-replica fleet against.
-pub(crate) fn worker_cap() -> usize {
+/// [`crate::env`] and fall back to the machine default.
+fn worker_cap() -> usize {
     // `available_parallelism` is uncached by std and re-reads cgroup
     // state on Linux — far too expensive per batch; the machine default
     // cannot change mid-process, so resolve it once. The env override
@@ -74,27 +73,14 @@ pub(crate) fn worker_cap() -> usize {
     crate::env::var_or("HINT_SHARD_THREADS", default, "a thread count", |_| true).max(1)
 }
 
-/// Whether the batch-clustering planning pass is enabled
-/// (`HINT_BATCH_CLUSTER`, default on; hardened on/off parsing via
-/// [`crate::env::Switch`]). Clustering sorts each shard's routed
-/// sub-batch by local query start *once, at planning time*, so the
-/// sealed shared-level walk can skip its own per-(shard, batch) sort —
-/// the plan is built once and reused across every routed shard. Purely
-/// a locality strategy: per-sink results are bit-identical either way.
-pub(crate) fn cluster_enabled() -> bool {
-    crate::env::var_or(
-        "HINT_BATCH_CLUSTER",
-        crate::env::Switch::On,
-        "on or off",
-        |_| true,
-    )
-    .is_on()
-}
-
-/// The clustering pass itself: orders every shard's sub-batch by the
-/// shard-local sub-query's `(st, end)` — the same key the sealed walk
-/// would have sorted mapped queries by. Stable, so equal-start queries
-/// keep batch order and plans stay deterministic.
+/// The batch-clustering planning pass: orders every shard's sub-batch
+/// by the shard-local sub-query's `(st, end)` — the same key the sealed
+/// walk would have sorted mapped queries by — *once, at planning time*,
+/// so the sealed shared-level walk skips its own per-(shard, batch)
+/// sort and every routed shard reuses the one ordered plan. Stable, so
+/// equal-start queries keep batch order and plans stay deterministic.
+/// Purely a locality strategy: per-sink results are bit-identical to an
+/// unclustered plan.
 pub(crate) fn cluster_plan(plan: &mut [Vec<Routed>]) {
     for sub in plan.iter_mut() {
         if sub.len() > 1 {
@@ -167,10 +153,7 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
             return self.shards[0].index.query_batch(queries, sinks);
         }
         let mut plan = self.plan(queries);
-        let presorted = cluster_enabled();
-        if presorted {
-            cluster_plan(&mut plan);
-        }
+        cluster_plan(&mut plan);
         // shards with routed work, ascending
         let active: Vec<(usize, &[Routed])> = plan
             .iter()
@@ -184,7 +167,7 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
             // the callers' sinks, in shard order — zero-copy, and caller
             // saturation is visible to the scans
             for &(j, sub) in &active {
-                self.shards[j].run_inline(sub, sinks, presorted);
+                self.shards[j].run_inline(sub, sinks);
             }
             return;
         }
@@ -196,7 +179,7 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
                         scope.spawn(move |_| {
                             chunk
                                 .into_iter()
-                                .map(|(j, sub)| self.shards[j].run_collect(sub, presorted))
+                                .map(|(j, sub)| self.shards[j].run_collect(sub))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -262,10 +245,7 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
                 .query_batch_sinks(queries, &mut refs, false);
         }
         let mut plan = self.plan(queries);
-        let presorted = cluster_enabled();
-        if presorted {
-            cluster_plan(&mut plan);
-        }
+        cluster_plan(&mut plan);
         let active: Vec<(usize, &[Routed])> = plan
             .iter()
             .enumerate()
@@ -278,7 +258,7 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
             // entirely and drain straight into the callers' sinks — fully
             // monomorphized, shard order preserved
             for &(j, sub) in &active {
-                self.shards[j].run_inline_merge(sub, sinks, presorted);
+                self.shards[j].run_inline_merge(sub, sinks);
             }
             return;
         }
@@ -304,7 +284,7 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
                         scope.spawn(move |_| {
                             chunk
                                 .into_iter()
-                                .map(|(j, job)| self.shards[j].run_forks(job, presorted))
+                                .map(|(j, job)| self.shards[j].run_forks(job))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -324,6 +304,8 @@ impl<I: IntervalIndex + Sync> ShardedIndex<I> {
     }
 }
 
+// Every routed sub-batch reaching these walks was ordered by
+// `cluster_plan`, so the inner batch walk is told it is presorted.
 impl<I: IntervalIndex> Shard<I> {
     /// The inline dyn path (single worker): drains a routed sub-batch
     /// directly into the callers' sinks through the replica filter, one
@@ -331,7 +313,7 @@ impl<I: IntervalIndex> Shard<I> {
     /// arrive in any order (the clustering pass reorders them), so each
     /// entry *takes* its sink out of a per-query slot — a sub-batch
     /// never repeats a query, so every take succeeds.
-    fn run_inline(&self, sub: &[Routed], sinks: &mut [&mut dyn QuerySink], presorted: bool) {
+    fn run_inline(&self, sub: &[Routed], sinks: &mut [&mut dyn QuerySink]) {
         let queries: Vec<RangeQuery> = sub.iter().map(|e| e.1).collect();
         let mut grabbed: Vec<Option<&mut dyn QuerySink>> =
             sinks.iter_mut().map(|s| Some(&mut **s)).collect();
@@ -345,7 +327,7 @@ impl<I: IntervalIndex> Shard<I> {
             })
             .collect();
         let mut refs: Vec<&mut FilterSink<'_, dyn QuerySink>> = wrappers.iter_mut().collect();
-        self.index.query_batch_sinks(&queries, &mut refs, presorted);
+        self.index.query_batch_sinks(&queries, &mut refs, true);
     }
 
     /// The inline merge path (single worker): like
@@ -354,12 +336,7 @@ impl<I: IntervalIndex> Shard<I> {
     /// dispatch, emissions — monomorphizes per concrete sink with no
     /// vtable call anywhere. This is the measured path on machines where
     /// the batch degenerates to inline execution.
-    pub(crate) fn run_inline_merge<S: MergeableSink>(
-        &self,
-        sub: &[Routed],
-        sinks: &mut [S],
-        presorted: bool,
-    ) {
+    pub(crate) fn run_inline_merge<S: MergeableSink>(&self, sub: &[Routed], sinks: &mut [S]) {
         let queries: Vec<RangeQuery> = sub.iter().map(|e| e.1).collect();
         let mut grabbed: Vec<Option<&mut S>> = sinks.iter_mut().map(Some).collect();
         // When nothing can need suppressing — the shard holds no replicas,
@@ -375,7 +352,7 @@ impl<I: IntervalIndex> Shard<I> {
                         .expect("sub-batch repeats a query")
                 })
                 .collect();
-            return self.index.query_batch_sinks(&queries, &mut refs, presorted);
+            return self.index.query_batch_sinks(&queries, &mut refs, true);
         }
         let mut wrappers: Vec<FilterSink<'_, S>> = sub
             .iter()
@@ -387,18 +364,14 @@ impl<I: IntervalIndex> Shard<I> {
             })
             .collect();
         let mut refs: Vec<&mut FilterSink<'_, S>> = wrappers.iter_mut().collect();
-        self.index.query_batch_sinks(&queries, &mut refs, presorted);
+        self.index.query_batch_sinks(&queries, &mut refs, true);
     }
 
     /// Drains a routed sub-batch into thread-local result buffers, one
     /// per query, replicas suppressed for non-first entries. The whole
     /// sub-batch goes through the inner index's batch walk, so sealed
     /// inner indexes amortize one level walk across the sub-batch.
-    pub(crate) fn run_collect(
-        &self,
-        sub: &[Routed],
-        presorted: bool,
-    ) -> Vec<(u32, Vec<IntervalId>)> {
+    pub(crate) fn run_collect(&self, sub: &[Routed]) -> Vec<(u32, Vec<IntervalId>)> {
         let queries: Vec<RangeQuery> = sub.iter().map(|e| e.1).collect();
         let mut bufs: Vec<Vec<IntervalId>> = sub.iter().map(|_| Vec::new()).collect();
         {
@@ -411,7 +384,7 @@ impl<I: IntervalIndex> Shard<I> {
                 })
                 .collect();
             let mut refs: Vec<&mut FilterSink<'_, Vec<IntervalId>>> = wrappers.iter_mut().collect();
-            self.index.query_batch_sinks(&queries, &mut refs, presorted);
+            self.index.query_batch_sinks(&queries, &mut refs, true);
         }
         sub.iter()
             .zip(bufs)
@@ -425,7 +398,6 @@ impl<I: IntervalIndex> Shard<I> {
     pub(crate) fn run_forks<S: MergeableSink + Send>(
         &self,
         job: Vec<(Routed, S)>,
-        presorted: bool,
     ) -> Vec<(u32, S)> {
         let queries: Vec<RangeQuery> = job.iter().map(|(e, _)| e.1).collect();
         let firsts: Vec<bool> = job.iter().map(|(e, _)| e.2).collect();
@@ -443,7 +415,7 @@ impl<I: IntervalIndex> Shard<I> {
                 })
                 .collect();
             let mut refs: Vec<&mut FilterSink<'_, S>> = wrappers.iter_mut().collect();
-            self.index.query_batch_sinks(&queries, &mut refs, presorted);
+            self.index.query_batch_sinks(&queries, &mut refs, true);
         }
         out
     }
@@ -567,6 +539,36 @@ mod tests {
                 assert_eq!(sinks[i].ids(), solo.ids(), "k={k} {q:?}");
             }
         }
+    }
+
+    #[test]
+    fn cluster_plan_sorts_each_sub_batch_stably_by_local_query() {
+        let rq = RangeQuery::new;
+        let mut plan: Vec<Vec<Routed>> = vec![
+            vec![
+                (0, rq(50, 60), true),
+                (1, rq(10, 90), false),
+                (2, rq(10, 20), true),
+                (3, rq(50, 60), false),
+                (4, rq(10, 20), false),
+            ],
+            Vec::new(),
+            vec![(5, rq(7, 8), true)],
+        ];
+        cluster_plan(&mut plan);
+        // ties keep batch order: 2 before 4, 0 before 3
+        assert_eq!(
+            plan[0],
+            vec![
+                (2, rq(10, 20), true),
+                (4, rq(10, 20), false),
+                (1, rq(10, 90), false),
+                (0, rq(50, 60), true),
+                (3, rq(50, 60), false),
+            ]
+        );
+        assert!(plan[1].is_empty());
+        assert_eq!(plan[2], vec![(5, rq(7, 8), true)]);
     }
 
     #[test]

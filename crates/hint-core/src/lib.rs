@@ -154,13 +154,13 @@ pub use join::{
 pub use oracle::ScanOracle;
 pub use pool::{PoolError, PoolStats, ShardPool};
 pub use session::{RetuneEvent, RetunePolicy, Session, WriteError};
-pub use shard::{query_epoch_pins, EpochPin, MutableIndex, ShardedIndex};
+pub use shard::{MutableIndex, ShardedIndex};
 pub use sink::{
     ArenaRun, BucketHistogram, CollectSink, CountSink, ExistsSink, FirstK, FnSink, HandleSink,
     IntervalLookup, MergeableSink, QuerySink, ResultRun, SliceSink, TopKByDuration,
     ARENA_HANDLE_MIN,
 };
-pub use stats::{ExtentHistogram, ExtentMix, InflightGauge, QueryStats, WorkloadStats};
+pub use stats::{ExtentHistogram, ExtentMix, QueryStats, WorkloadStats};
 
 /// Common query interface implemented by every index in the workspace
 /// (HINT variants here, the four competitor indexes in their own crates),

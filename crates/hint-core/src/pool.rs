@@ -39,15 +39,22 @@
 //! `m` the §3.3 cost model picks for its observed query-extent mix —
 //! on the worker that owns it. [`ShardPool::into_index`] shuts the
 //! workers down and reassembles the [`ShardedIndex`].
+//!
+//! ## One read route
+//!
+//! Every read — batched, bounded or solo — queues on the worker that
+//! owns its shard, behind any earlier write to that shard. A shard is
+//! never walked off its owner's thread, so reads need no published copy
+//! of the shard and writes need no republication: per-worker FIFO alone
+//! gives read-your-writes.
 
-use crate::executor::{cluster_enabled, cluster_plan, worker_cap, Routed};
+use crate::executor::{cluster_plan, Routed};
 use crate::interval::{Interval, IntervalId, RangeQuery, Time};
-use crate::shard::{EpochPin, EpochSlot, MutableIndex, Shard, ShardedIndex};
+use crate::shard::{MutableIndex, Shard, ShardedIndex};
 use crate::sink::{MergeableSink, QuerySink};
-use crate::stats::{ExtentMix, InflightGauge};
+use crate::stats::ExtentMix;
 use crate::IntervalIndex;
 use crossbeam::channel::{unbounded, Sender};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -97,41 +104,6 @@ struct Worker<I> {
     handle: Option<JoinHandle<Shard<I>>>,
 }
 
-/// A unit of read work dispatched to a reader replica. The closure runs
-/// on the reader thread against the epoch image current at execution
-/// time (readers pick epochs up at task boundaries).
-type ReadTask<I> = Box<dyn FnOnce(&Shard<I>) + Send + 'static>;
-
-/// One reader replica thread for a shard: its task channel, join
-/// handle, and the in-flight gauge least-loaded routing compares.
-struct Reader<I> {
-    tasks: Option<Sender<ReadTask<I>>>,
-    handle: Option<JoinHandle<()>>,
-    inflight: Arc<InflightGauge>,
-}
-
-/// The type-erased epoch publisher a shard's owning worker runs after
-/// each mutation (erasure keeps the `I: Clone` bound confined to the
-/// replicated constructors).
-type Publisher<I> = Arc<dyn Fn(&Shard<I>) + Send + Sync>;
-
-/// Per-shard replication state: the published epoch slot, the
-/// publisher closure, and the reader fleet.
-struct ShardReplicas<I> {
-    slot: Arc<EpochSlot<I>>,
-    publish: Publisher<I>,
-    readers: Vec<Reader<I>>,
-}
-
-/// Pool-wide replication state; absent when `HINT_READ_REPLICAS` is 1
-/// (or unset), which keeps the unreplicated pool bit-for-bit on its
-/// original dispatch paths.
-struct ReplicaSet<I> {
-    per_shard: Vec<ShardReplicas<I>>,
-    /// Configured logical replica count (≥ 2 whenever this exists).
-    configured: usize,
-}
-
 /// Dispatch counters (see [`ShardPool::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -144,13 +116,6 @@ pub struct PoolStats {
     /// Entries suppressed because the query's sink was already
     /// saturated when its shard's turn came (bounded-sink staging).
     pub skipped: u64,
-    /// Configured logical read replicas per shard (1 = unreplicated).
-    pub replicas: u64,
-    /// Dispatched entries sent to dedicated reader replica threads.
-    pub replica_dispatched: u64,
-    /// Dispatched entries served caller-inline from a published epoch
-    /// — the zero-hop first replica every replicated pool has.
-    pub epoch_reads: u64,
 }
 
 #[derive(Default)]
@@ -159,8 +124,6 @@ struct PoolCounters {
     routed: AtomicU64,
     dispatched: AtomicU64,
     skipped: AtomicU64,
-    replica_dispatched: AtomicU64,
-    epoch_reads: AtomicU64,
 }
 
 /// True when `HINT_SHARD_PIN=1`: workers pin themselves to cores.
@@ -217,9 +180,6 @@ pub struct ShardPool<I> {
     /// concurrent batch that loses the race plans into a fresh local
     /// buffer instead of waiting.
     scratch: Mutex<Vec<Vec<Routed>>>,
-    /// Read-replication state; `None` keeps the unreplicated pool on
-    /// its original dispatch paths bit-for-bit.
-    replicas: Option<ReplicaSet<I>>,
 }
 
 impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
@@ -242,83 +202,6 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             counters: PoolCounters::default(),
             task_panics,
             scratch: Mutex::new(Vec::new()),
-            replicas: None,
-        }
-    }
-
-    /// Builds a pool with `replicas` logical read replicas per shard
-    /// (see the module docs): each shard gets a published-epoch slot —
-    /// the zero-dispatch replica every read path may walk caller-inline
-    /// — plus dedicated reader threads, sized as
-    /// `replicas.min(worker budget) - 1` so a small host gets the
-    /// epoch-direct path instead of oversubscribed readers. `replicas`
-    /// of 0 or 1 builds an ordinary unreplicated pool.
-    pub fn with_read_replicas(index: ShardedIndex<I>, replicas: usize) -> Self
-    where
-        I: Clone + Sync,
-    {
-        let threads = replicas.min(worker_cap()).saturating_sub(1);
-        Self::with_reader_threads(index, replicas, threads)
-    }
-
-    /// [`with_read_replicas`](Self::with_read_replicas) with the reader
-    /// thread count per shard chosen explicitly instead of derived from
-    /// the worker budget. Tests use this to force real reader threads
-    /// on single-core hosts.
-    #[doc(hidden)]
-    pub fn with_reader_threads(index: ShardedIndex<I>, replicas: usize, threads: usize) -> Self
-    where
-        I: Clone + Sync,
-    {
-        if replicas <= 1 {
-            return Self::new(index);
-        }
-        let (shards, live) = index.into_parts();
-        let pin = pinning_enabled();
-        let bounds: Vec<(Time, Time)> = shards.iter().map(|s| (s.start, s.end)).collect();
-        let task_panics = Arc::new(AtomicU64::new(0));
-        let mut workers = Vec::with_capacity(shards.len());
-        let mut per_shard = Vec::with_capacity(shards.len());
-        for (j, shard) in shards.into_iter().enumerate() {
-            let slot = Arc::new(EpochSlot::new(Arc::new(shard.clone())));
-            let publish: Publisher<I> = {
-                let slot = Arc::clone(&slot);
-                Arc::new(move |shard: &Shard<I>| slot.publish(Arc::new(shard.clone())))
-            };
-            let readers = (0..threads)
-                .map(|r| Self::spawn_reader(j, r, Arc::clone(&slot), Arc::clone(&task_panics)))
-                .collect();
-            workers.push(Self::spawn_worker(j, shard, pin, Arc::clone(&task_panics)));
-            per_shard.push(ShardReplicas {
-                slot,
-                publish,
-                readers,
-            });
-        }
-        Self {
-            workers,
-            bounds,
-            live,
-            counters: PoolCounters::default(),
-            task_panics,
-            scratch: Mutex::new(Vec::new()),
-            replicas: Some(ReplicaSet {
-                per_shard,
-                configured: replicas,
-            }),
-        }
-    }
-
-    /// Builds a pool with the replica count the `HINT_READ_REPLICAS`
-    /// knob asks for (default 1 = unreplicated) — the constructor the
-    /// session / serve stack goes through.
-    pub fn from_env(index: ShardedIndex<I>) -> Self
-    where
-        I: Clone + Sync,
-    {
-        match crate::env::read_replicas() {
-            0 | 1 => Self::new(index),
-            n => Self::with_read_replicas(index, n),
         }
     }
 
@@ -347,41 +230,6 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         Worker {
             tasks: Some(tx),
             handle: Some(handle),
-        }
-    }
-
-    /// Spawns reader replica `r` for shard `j`: each task runs against
-    /// the epoch image published when the task starts, so readers pick
-    /// new epochs up at task boundaries and old epochs drain by
-    /// refcount once their last in-flight walk finishes.
-    fn spawn_reader(
-        j: usize,
-        r: usize,
-        slot: Arc<EpochSlot<I>>,
-        panics: Arc<AtomicU64>,
-    ) -> Reader<I>
-    where
-        I: Sync,
-    {
-        let (tx, rx) = unbounded::<ReadTask<I>>();
-        let inflight = Arc::new(InflightGauge::default());
-        let gauge = Arc::clone(&inflight);
-        let handle = std::thread::Builder::new()
-            .name(format!("hint-read-{j}-{r}"))
-            .spawn(move || {
-                while let Ok(task) = rx.recv() {
-                    let pinned = slot.pin();
-                    if catch_unwind(AssertUnwindSafe(|| task(pinned.shard()))).is_err() {
-                        panics.fetch_add(1, Ordering::Relaxed);
-                    }
-                    gauge.exit();
-                }
-            })
-            .expect("spawn reader replica");
-        Reader {
-            tasks: Some(tx),
-            handle: Some(handle),
-            inflight,
         }
     }
 
@@ -441,46 +289,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             routed: self.counters.routed.load(Ordering::Relaxed),
             dispatched: self.counters.dispatched.load(Ordering::Relaxed),
             skipped: self.counters.skipped.load(Ordering::Relaxed),
-            replicas: self.read_replicas() as u64,
-            replica_dispatched: self.counters.replica_dispatched.load(Ordering::Relaxed),
-            epoch_reads: self.counters.epoch_reads.load(Ordering::Relaxed),
         }
-    }
-
-    /// Configured logical read replicas per shard (1 = unreplicated).
-    pub fn read_replicas(&self) -> usize {
-        self.replicas.as_ref().map_or(1, |rs| rs.configured)
-    }
-
-    /// Total dedicated reader threads across all shards (0 when
-    /// unreplicated, or when the worker budget routed all replica reads
-    /// through the caller-inline epoch path).
-    pub fn reader_threads(&self) -> usize {
-        self.replicas
-            .as_ref()
-            .map_or(0, |rs| rs.per_shard.iter().map(|s| s.readers.len()).sum())
-    }
-
-    /// Pins the currently published epoch of every shard (ascending
-    /// domain order), or `None` when read replication is off. The pin
-    /// set is a consistent point-in-time read view: query it with
-    /// [`crate::query_epoch_pins`], and the results stay bit-identical
-    /// to the pinned state across any number of later writes, seals,
-    /// and retunes.
-    pub fn pin_epochs(&self) -> Option<Vec<EpochPin<I>>> {
-        self.replicas
-            .as_ref()
-            .map(|rs| rs.per_shard.iter().map(|s| s.slot.pin()).collect())
-    }
-
-    /// The epoch publisher for shard `j`'s owner tasks (`None` when
-    /// unreplicated). Mutating tasks run it after applying their change
-    /// and *before* acking, so a caller that saw the ack also sees the
-    /// new epoch.
-    fn publisher(&self, j: usize) -> Option<Publisher<I>> {
-        self.replicas
-            .as_ref()
-            .map(|rs| Arc::clone(&rs.per_shard[j].publish))
     }
 
     /// Sends one task to worker `j`, reporting a dead worker as a typed
@@ -504,36 +313,11 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         self.try_send(j, task).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Sends one read task to reader `r` of shard `j`, bumping its
-    /// in-flight gauge (the reader drops it when the task finishes).
-    fn try_send_read(&self, j: usize, r: usize, task: ReadTask<I>) -> Result<(), PoolError> {
-        let reader = &self.replicas.as_ref().expect("replicated pool").per_shard[j].readers[r];
-        reader.inflight.enter();
-        reader
-            .tasks
-            .as_ref()
-            .ok_or(PoolError::WorkerDied { shard: j })?
-            .send(task)
-            .map_err(|_| PoolError::WorkerDied { shard: j })
-    }
-
-    /// The least-loaded reader replica of shard `j` by in-flight depth,
-    /// or `None` when the shard has no dedicated readers.
-    fn pick_reader(shard: &ShardReplicas<I>) -> Option<usize> {
-        shard
-            .readers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.inflight.load())
-            .map(|(r, _)| r)
-    }
-
     /// Drains replies tagged with their shard index from `rx` until the
     /// channel closes, returning them in ascending shard order — or, if
-    /// fewer replies arrived than `dispatched` entries (a task panicked
-    /// mid-reply), the lowest short shard as a [`PoolError`]. A shard
-    /// may appear in `dispatched` once per expected reply: replicated
-    /// dispatch splits one shard's sub-batch across several readers.
+    /// a dispatched shard never replied (its task panicked mid-reply),
+    /// the lowest such shard as a [`PoolError`]. Each dispatched shard
+    /// sends at most one reply.
     fn collect_tagged<T>(
         rx: &crossbeam::channel::Receiver<(usize, T)>,
         dispatched: &[usize],
@@ -543,17 +327,10 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             done.push(pair);
         }
         if done.len() < dispatched.len() {
-            let mut want: HashMap<usize, isize> = HashMap::new();
-            for &j in dispatched {
-                *want.entry(j).or_insert(0) += 1;
-            }
-            for (j, _) in &done {
-                *want.entry(*j).or_insert(0) -= 1;
-            }
-            let shard = want
+            let shard = dispatched
                 .iter()
-                .filter(|&(_, &short)| short > 0)
-                .map(|(&j, _)| j)
+                .copied()
+                .filter(|&j| done.iter().all(|&(got, _)| got != j))
                 .min()
                 .unwrap_or(0);
             return Err(PoolError::WorkerDied { shard });
@@ -562,28 +339,9 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         Ok(done)
     }
 
-    /// Shuts the reader replica fleet down (draining queued read tasks).
-    fn shutdown_readers(&mut self) {
-        if let Some(rs) = &mut self.replicas {
-            for shard in &mut rs.per_shard {
-                for r in &mut shard.readers {
-                    drop(r.tasks.take());
-                }
-            }
-            for shard in &mut rs.per_shard {
-                for r in &mut shard.readers {
-                    if let Some(handle) = r.handle.take() {
-                        let _ = handle.join();
-                    }
-                }
-            }
-        }
-    }
-
     /// Drops every task sender and joins the worker threads, collecting
     /// the shards back. Queued tasks still run before a worker exits.
     fn join_workers(&mut self) -> Vec<Shard<I>> {
-        self.shutdown_readers();
         let mut shards = Vec::with_capacity(self.workers.len());
         for w in &mut self.workers {
             drop(w.tasks.take());
@@ -638,11 +396,10 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     }
 
     /// Routes a batch into `bufs`, reusing their allocations: one
-    /// sub-batch per shard, in batch order. When the clustering pass is
-    /// enabled, each sub-batch is then sorted by local query start once
+    /// sub-batch per shard, each then sorted by local query start once
     /// — the plan is built (and ordered) a single time and reused by
-    /// every routed shard. Returns whether the plan is clustered.
-    fn plan_into(&self, queries: &[RangeQuery], bufs: &mut Vec<Vec<Routed>>) -> bool {
+    /// every routed shard.
+    fn plan_into(&self, queries: &[RangeQuery], bufs: &mut Vec<Vec<Routed>>) {
         bufs.resize_with(self.bounds.len(), Vec::new);
         for sub in bufs.iter_mut() {
             sub.clear();
@@ -654,11 +411,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
                 sub.push((qi as u32, self.local_query(j, q, lo, hi), j == lo));
             }
         }
-        let presorted = cluster_enabled();
-        if presorted {
-            cluster_plan(bufs);
-        }
-        presorted
+        cluster_plan(bufs);
     }
 
     /// Evaluates a batch of queries through the worker pool, one
@@ -750,15 +503,15 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             Some(g) => g,
             None => &mut local,
         };
-        let presorted = self.plan_into(queries, bufs);
+        self.plan_into(queries, bufs);
         let routed: usize = bufs.iter().map(Vec::len).sum();
         self.counters
             .routed
             .fetch_add(routed as u64, Ordering::Relaxed);
         if sinks.iter().all(|s| s.is_bounded()) {
-            self.run_staged(bufs, sinks, hints, presorted)
+            self.run_staged(bufs, sinks, hints)
         } else {
-            self.run_fanned(bufs, sinks, hints, presorted)
+            self.run_fanned(bufs, sinks, hints)
         }
     }
 
@@ -781,14 +534,10 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         plan: &[Vec<Routed>],
         sinks: &mut [S],
         hints: Option<&[usize]>,
-        presorted: bool,
     ) -> Result<(), PoolError>
     where
         S: MergeableSink + Send + 'static,
     {
-        if self.replicas.is_some() {
-            return self.run_fanned_replicated(plan, sinks, hints, presorted);
-        }
         let (tx, rx) = unbounded();
         let mut dispatched = Vec::new();
         for (j, sub) in plan.iter().enumerate() {
@@ -806,95 +555,13 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             self.try_send(
                 j,
                 Box::new(move |shard| {
-                    let _ = tx.send((j, shard.run_forks(job, presorted)));
+                    let _ = tx.send((j, shard.run_forks(job)));
                 }),
             )?;
             dispatched.push(j);
         }
         drop(tx);
         for (_, results) in Self::collect_tagged(&rx, &dispatched)? {
-            for (qi, fork) in results {
-                sinks[qi as usize].merge(fork);
-            }
-        }
-        Ok(())
-    }
-
-    /// Replicated fan-out: each shard's sub-batch is split into one
-    /// contiguous chunk per reader replica plus a final chunk the
-    /// calling thread runs itself against the published epoch (chunks
-    /// hold disjoint queries, so every query still gets exactly one
-    /// fork per routed shard and the ascending-shard merge stays
-    /// bit-identical). Readers are filled least-loaded first. With no
-    /// dedicated readers — the single-core budget — this degenerates to
-    /// the zero-dispatch epoch-direct walk: no channel hops, no worker
-    /// wakeups, the owner left free for writes.
-    fn run_fanned_replicated<S>(
-        &self,
-        plan: &[Vec<Routed>],
-        sinks: &mut [S],
-        hints: Option<&[usize]>,
-        presorted: bool,
-    ) -> Result<(), PoolError>
-    where
-        S: MergeableSink + Send + 'static,
-    {
-        let rs = self.replicas.as_ref().expect("replicated pool");
-        let (tx, rx) = unbounded();
-        let mut expected: Vec<usize> = Vec::new();
-        let mut inline: Vec<(usize, Vec<(Routed, S)>)> = Vec::new();
-        for (j, sub) in plan.iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            self.counters
-                .dispatched
-                .fetch_add(sub.len() as u64, Ordering::Relaxed);
-            let shard = &rs.per_shard[j];
-            let chunks = shard.readers.len() + 1;
-            let per = sub.len().div_ceil(chunks);
-            let pieces: Vec<&[Routed]> = sub.chunks(per).collect();
-            let (last, to_readers) = pieces.split_last().expect("nonempty sub-batch");
-            let mut order: Vec<usize> = (0..shard.readers.len()).collect();
-            order.sort_by_key(|&r| shard.readers[r].inflight.load());
-            for (&r, piece) in order.iter().zip(to_readers) {
-                let job: Vec<(Routed, S)> = piece
-                    .iter()
-                    .map(|&entry| (entry, Self::fork_for(sinks, hints, entry.0 as usize)))
-                    .collect();
-                self.counters
-                    .replica_dispatched
-                    .fetch_add(job.len() as u64, Ordering::Relaxed);
-                let tx = tx.clone();
-                self.try_send_read(
-                    j,
-                    r,
-                    Box::new(move |shard| {
-                        let _ = tx.send((j, shard.run_forks(job, presorted)));
-                    }),
-                )?;
-                expected.push(j);
-            }
-            let job: Vec<(Routed, S)> = last
-                .iter()
-                .map(|&entry| (entry, Self::fork_for(sinks, hints, entry.0 as usize)))
-                .collect();
-            self.counters
-                .epoch_reads
-                .fetch_add(job.len() as u64, Ordering::Relaxed);
-            inline.push((j, job));
-        }
-        drop(tx);
-        // the caller's chunks run on the published epochs while the
-        // readers chew theirs
-        let mut done: Vec<(usize, Vec<(u32, S)>)> = Vec::with_capacity(inline.len());
-        for (j, job) in inline {
-            let pinned = rs.per_shard[j].slot.pin();
-            done.push((j, pinned.shard().run_forks(job, presorted)));
-        }
-        done.extend(Self::collect_tagged(&rx, &expected)?);
-        done.sort_unstable_by_key(|&(j, _)| j);
-        for (_, results) in done {
             for (qi, fork) in results {
                 sinks[qi as usize].merge(fork);
             }
@@ -911,7 +578,6 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         plan: &[Vec<Routed>],
         sinks: &mut [S],
         hints: Option<&[usize]>,
-        presorted: bool,
     ) -> Result<(), PoolError>
     where
         S: MergeableSink + Send + 'static,
@@ -935,47 +601,11 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             self.counters
                 .dispatched
                 .fetch_add(job.len() as u64, Ordering::Relaxed);
-            // bounded staging under replication routes each stage to the
-            // least-loaded reader replica — concurrent batches from other
-            // threads spread across the fleet instead of serializing on
-            // the owner — and runs epoch-direct when there are no readers
-            if let Some(rs) = &self.replicas {
-                let shard = &rs.per_shard[j];
-                match Self::pick_reader(shard) {
-                    Some(r) => {
-                        self.counters
-                            .replica_dispatched
-                            .fetch_add(job.len() as u64, Ordering::Relaxed);
-                        let tx = tx.clone();
-                        self.try_send_read(
-                            j,
-                            r,
-                            Box::new(move |shard| {
-                                let _ = tx.send(shard.run_forks(job, presorted));
-                            }),
-                        )?;
-                        let forks = rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })?;
-                        for (qi, fork) in forks {
-                            sinks[qi as usize].merge(fork);
-                        }
-                    }
-                    None => {
-                        self.counters
-                            .epoch_reads
-                            .fetch_add(job.len() as u64, Ordering::Relaxed);
-                        let pinned = shard.slot.pin();
-                        for (qi, fork) in pinned.shard().run_forks(job, presorted) {
-                            sinks[qi as usize].merge(fork);
-                        }
-                    }
-                }
-                continue;
-            }
             let tx = tx.clone();
             self.try_send(
                 j,
                 Box::new(move |shard| {
-                    let _ = tx.send(shard.run_forks(job, presorted));
+                    let _ = tx.send(shard.run_forks(job));
                 }),
             )?;
             for (qi, fork) in rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })? {
@@ -1017,34 +647,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             Some(g) => g,
             None => &mut local,
         };
-        let presorted = self.plan_into(queries, bufs);
-        // replicated pools walk the published epochs caller-inline (in
-        // shard order, so the emit order matches the fanned merge): no
-        // channel hops, and the owners stay free for writes
-        if let Some(rs) = &self.replicas {
-            for (j, sub) in bufs.iter().enumerate() {
-                if sub.is_empty() {
-                    continue;
-                }
-                self.counters
-                    .routed
-                    .fetch_add(sub.len() as u64, Ordering::Relaxed);
-                self.counters
-                    .dispatched
-                    .fetch_add(sub.len() as u64, Ordering::Relaxed);
-                self.counters
-                    .epoch_reads
-                    .fetch_add(sub.len() as u64, Ordering::Relaxed);
-                let pinned = rs.per_shard[j].slot.pin();
-                for (qi, ids) in pinned.shard().run_collect(sub, presorted) {
-                    let sink = &mut *sinks[qi as usize];
-                    if !sink.is_saturated() {
-                        sink.emit_slice(&ids);
-                    }
-                }
-            }
-            return Ok(());
-        }
+        self.plan_into(queries, bufs);
         let (tx, rx) = unbounded();
         let mut dispatched = Vec::new();
         for (j, sub) in bufs.iter().enumerate() {
@@ -1062,7 +665,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             self.try_send(
                 j,
                 Box::new(move |shard| {
-                    let _ = tx.send((j, shard.run_collect(&sub, presorted)));
+                    let _ = tx.send((j, shard.run_collect(&sub)));
                 }),
             )?;
             dispatched.push(j);
@@ -1110,24 +713,12 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
                 return Ok(());
             }
             self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
-            // solo reads on a replicated pool walk the published epoch
-            // directly on the calling thread: no channel round trip per
-            // shard, and the sink's saturation check runs mid-scan just
-            // like the unsharded solo path
-            if let Some(rs) = &self.replicas {
-                self.counters.epoch_reads.fetch_add(1, Ordering::Relaxed);
-                let pinned = rs.per_shard[j].slot.pin();
-                pinned
-                    .shard()
-                    .query_local(self.local_query(j, q, lo, hi), j == lo, sink);
-                continue;
-            }
             let entry: Routed = (0, self.local_query(j, q, lo, hi), j == lo);
             let (tx, rx) = unbounded();
             self.try_send(
                 j,
                 Box::new(move |shard| {
-                    let _ = tx.send(shard.run_collect(&[entry], false));
+                    let _ = tx.send(shard.run_collect(&[entry]));
                 }),
             )?;
             for (_, ids) in rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })? {
@@ -1153,16 +744,10 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         let dispatched: Vec<usize> = (0..self.workers.len()).collect();
         for &j in &dispatched {
             let tx = tx.clone();
-            let publish = self.publisher(j);
             self.try_send(
                 j,
                 Box::new(move |shard| {
                     shard.index.seal();
-                    // publish before acking: a caller that saw the seal
-                    // complete also reads the resealed epoch
-                    if let Some(publish) = &publish {
-                        publish(shard);
-                    }
                     let _ = tx.send((j, ()));
                 }),
             )?;
@@ -1271,15 +856,9 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
             s.end,
         );
         let (lo, hi) = (self.shard_of(s.st), self.shard_of(s.end));
-        // unreplicated writes are fire-and-forget (per-worker FIFO
-        // orders them before later reads); replicated writes wait for
-        // every leg to apply *and publish*, so reads through the epochs
-        // keep read-your-writes
-        let replicated = self.replicas.is_some();
-        let (tx, rx) = unbounded();
+        // fire-and-forget: per-worker FIFO orders the write before any
+        // later read of the same shard
         for j in lo..=hi {
-            let publish = self.publisher(j);
-            let tx = tx.clone();
             self.try_send(
                 j,
                 Box::new(move |shard| {
@@ -1288,17 +867,8 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
                     if s.st < shard.start {
                         shard.replicas.insert(s.id);
                     }
-                    if let Some(publish) = &publish {
-                        publish(shard);
-                        let _ = tx.send((j, ()));
-                    }
                 }),
             )?;
-        }
-        drop(tx);
-        if replicated {
-            let dispatched: Vec<usize> = (lo..=hi).collect();
-            Self::collect_tagged(&rx, &dispatched)?;
         }
         self.live += 1;
         Ok(())
@@ -1324,7 +894,6 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
         let (lo, hi) = (self.shard_of(s.st), self.shard_of(s.end));
         let s = *s;
         let (tx, rx) = unbounded();
-        let publish_lo = self.publisher(lo);
         self.try_send(
             lo,
             Box::new(move |shard| {
@@ -1333,22 +902,13 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
                 if found {
                     shard.replicas.remove(&s.id);
                 }
-                // publish before replying: the arbitration ack implies
-                // the owner's epoch already reflects the delete
-                if let Some(publish) = &publish_lo {
-                    publish(shard);
-                }
                 let _ = tx.send(found);
             }),
         )?;
         if !rx.recv().map_err(|_| PoolError::WorkerDied { shard: lo })? {
             return Ok(false);
         }
-        let replicated = self.replicas.is_some();
-        let (ack, acked) = unbounded();
         for j in lo + 1..=hi {
-            let publish = self.publisher(j);
-            let ack = ack.clone();
             self.try_send(
                 j,
                 Box::new(move |shard| {
@@ -1356,17 +916,8 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
                     if shard.index.delete(&clipped) {
                         shard.replicas.remove(&s.id);
                     }
-                    if let Some(publish) = &publish {
-                        publish(shard);
-                        let _ = ack.send((j, ()));
-                    }
                 }),
             )?;
-        }
-        drop(ack);
-        if replicated && hi > lo {
-            let dispatched: Vec<usize> = (lo + 1..=hi).collect();
-            Self::collect_tagged(&acked, &dispatched)?;
         }
         self.live -= 1;
         Ok(true)
@@ -1392,7 +943,6 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
         mix: ExtentMix,
     ) -> Result<Option<(u32, u32)>, PoolError> {
         let (tx, rx) = unbounded();
-        let publish = self.publisher(j);
         self.try_send(
             j,
             Box::new(move |shard| {
@@ -1407,12 +957,6 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
                 });
                 if outcome.is_none() {
                     shard.index.seal();
-                }
-                // readers holding the pre-retune epoch keep walking it
-                // (results are bit-identical either way); new batches
-                // pick the retuned epoch up here
-                if let Some(publish) = &publish {
-                    publish(shard);
                 }
                 let _ = tx.send(outcome);
             }),
@@ -1445,21 +989,6 @@ impl<I> Drop for ShardPool<I> {
     fn drop(&mut self) {
         // close every task channel, then join: queued work drains, the
         // threads exit, and the shards are dropped on their own workers.
-        // Readers go first so no read task outlives the owners.
-        if let Some(rs) = &mut self.replicas {
-            for shard in &mut rs.per_shard {
-                for r in &mut shard.readers {
-                    drop(r.tasks.take());
-                }
-            }
-            for shard in &mut rs.per_shard {
-                for r in &mut shard.readers {
-                    if let Some(handle) = r.handle.take() {
-                        let _ = handle.join();
-                    }
-                }
-            }
-        }
         for w in &mut self.workers {
             drop(w.tasks.take());
         }
@@ -1500,6 +1029,8 @@ mod tests {
     use super::*;
     use crate::sink::{CountSink, ExistsSink, FirstK};
     use crate::{Domain, HintMSubs, SubsConfig};
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
 
     fn data() -> Vec<Interval> {
         (0..2_000)
@@ -1737,6 +1268,326 @@ mod tests {
         assert_eq!(pool.task_panics(), 1);
     }
 
+    /// An inner index that panics mid-walk while `armed` is set: the
+    /// dyn path runs no caller code on the workers, so this is how a
+    /// worker dies there between accepting a sub-batch and replying.
+    #[derive(Clone)]
+    struct Tripwire {
+        inner: HintMSubs,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl IntervalIndex for Tripwire {
+        fn query_sink(&self, q: RangeQuery, sink: &mut dyn QuerySink) {
+            assert!(!self.armed.load(Ordering::Relaxed), "tripwire");
+            self.inner.query_sink(q, sink)
+        }
+        fn seal(&mut self) {
+            self.inner.seal()
+        }
+        fn size_bytes(&self) -> usize {
+            self.inner.size_bytes()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    /// A collecting sink whose forks panic on emitting any id in
+    /// `doomed`: the worker walking those ids dies mid-reply.
+    struct DoomedFork {
+        ids: Vec<IntervalId>,
+        doomed: Arc<HashSet<IntervalId>>,
+        is_fork: bool,
+    }
+
+    impl QuerySink for DoomedFork {
+        fn emit(&mut self, id: IntervalId) {
+            assert!(!(self.is_fork && self.doomed.contains(&id)), "doomed id");
+            self.ids.push(id);
+        }
+    }
+
+    impl MergeableSink for DoomedFork {
+        fn fork(&self) -> Self {
+            Self {
+                ids: Vec::new(),
+                doomed: Arc::clone(&self.doomed),
+                is_fork: true,
+            }
+        }
+        fn merge(&mut self, other: Self) {
+            self.ids.extend(other.ids);
+        }
+    }
+
+    #[test]
+    fn worker_panicking_mid_reply_fails_the_batch_with_its_shard() {
+        // shard 2's tripwire is the only one ever armed
+        let armed = Arc::new(AtomicBool::new(false));
+        let mut built = 0;
+        let mut direct = ShardedIndex::build_with(&data(), 4, |slice, lo, hi| {
+            built += 1;
+            Tripwire {
+                inner: HintMSubs::build_with_domain(
+                    slice,
+                    Domain::new(lo, hi, 9),
+                    SubsConfig::full(),
+                ),
+                armed: if built == 3 {
+                    Arc::clone(&armed)
+                } else {
+                    Arc::default()
+                },
+            }
+        });
+        IntervalIndex::seal(&mut direct);
+        let pool = ShardPool::new(direct.clone());
+        let queries = batch();
+        // fanned merge: intervals lying wholly inside shard 2 are stored
+        // only there, so only shard 2's fork trips
+        let (lo, hi) = pool.shard_bounds()[2];
+        let doomed: Arc<HashSet<IntervalId>> = Arc::new(
+            data()
+                .iter()
+                .filter(|s| s.st >= lo && s.end <= hi)
+                .map(|s| s.id)
+                .collect(),
+        );
+        assert!(!doomed.is_empty());
+        let mut sinks: Vec<DoomedFork> = queries
+            .iter()
+            .map(|_| DoomedFork {
+                ids: Vec::new(),
+                doomed: Arc::clone(&doomed),
+                is_fork: false,
+            })
+            .collect();
+        assert_eq!(
+            pool.try_query_batch_merge(&queries, &mut sinks),
+            Err(PoolError::WorkerDied { shard: 2 })
+        );
+        // a round trip through every worker: each counts its caught
+        // panic before it takes its next task
+        pool.try_seal_all().unwrap();
+        assert_eq!(pool.task_panics(), 1);
+        // dyn path: shard 2's walk itself panics
+        armed.store(true, Ordering::Relaxed);
+        let mut bufs: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        let mut dyns: Vec<&mut dyn QuerySink> =
+            bufs.iter_mut().map(|b| b as &mut dyn QuerySink).collect();
+        assert_eq!(
+            pool.try_query_batch_dyn(&queries, &mut dyns),
+            Err(PoolError::WorkerDied { shard: 2 })
+        );
+        pool.try_seal_all().unwrap();
+        assert_eq!(pool.task_panics(), 2);
+        // every worker survived: the pool still matches the direct index
+        armed.store(false, Ordering::Relaxed);
+        let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        pool.query_batch_merge(&queries, &mut merged);
+        for (i, &q) in queries.iter().enumerate() {
+            let mut want = Vec::new();
+            direct.query_sink(q, &mut want);
+            assert_eq!(merged[i], want, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn two_workers_panicking_mid_reply_report_the_lowest_shard() {
+        let direct = sharded(4, true);
+        let pool = ShardPool::new(direct.clone());
+        let queries = batch();
+        // ids stored only in shards 1 and 3: both forks die mid-reply
+        let bounds = pool.shard_bounds().to_vec();
+        let doomed: Arc<HashSet<IntervalId>> = Arc::new(
+            data()
+                .iter()
+                .filter(|s| {
+                    [1, 3]
+                        .iter()
+                        .any(|&j| s.st >= bounds[j].0 && s.end <= bounds[j].1)
+                })
+                .map(|s| s.id)
+                .collect(),
+        );
+        let mut sinks: Vec<DoomedFork> = queries
+            .iter()
+            .map(|_| DoomedFork {
+                ids: Vec::new(),
+                doomed: Arc::clone(&doomed),
+                is_fork: false,
+            })
+            .collect();
+        assert_eq!(
+            pool.try_query_batch_merge(&queries, &mut sinks),
+            Err(PoolError::WorkerDied { shard: 1 })
+        );
+        pool.try_seal_all().unwrap();
+        assert_eq!(pool.task_panics(), 2);
+        let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        pool.query_batch_merge(&queries, &mut merged);
+        for (i, &q) in queries.iter().enumerate() {
+            let mut want = Vec::new();
+            direct.query_sink(q, &mut want);
+            assert_eq!(merged[i], want, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn collect_tagged_sorts_replies_or_names_the_lowest_silent_shard() {
+        let (tx, rx) = unbounded();
+        for j in [3usize, 0, 2] {
+            tx.send((j, j * 10)).unwrap();
+        }
+        drop(tx);
+        assert_eq!(
+            ShardPool::<HintMSubs>::collect_tagged(&rx, &[0, 2, 3]),
+            Ok(vec![(0, 0), (2, 20), (3, 30)])
+        );
+        // shards 1 and 4 were dispatched but never replied
+        let (tx, rx) = unbounded();
+        for j in [3usize, 0] {
+            tx.send((j, ())).unwrap();
+        }
+        drop(tx);
+        assert_eq!(
+            ShardPool::<HintMSubs>::collect_tagged(&rx, &[0, 1, 3, 4]),
+            Err(PoolError::WorkerDied { shard: 1 })
+        );
+    }
+
+    /// Every read path of `pool` against solo queries on `direct`, with
+    /// both sides' ids sorted (a retuned shard may emit in another order).
+    fn assert_all_read_paths_match(pool: &ShardPool<HintMSubs>, direct: &ShardedIndex<HintMSubs>) {
+        let sorted = |mut v: Vec<IntervalId>| {
+            v.sort_unstable();
+            v
+        };
+        let queries = batch();
+        let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        pool.query_batch_merge(&queries, &mut merged);
+        let mut counts = vec![CountSink::new(); queries.len()];
+        pool.query_batch_merge(&queries, &mut counts);
+        let mut bufs: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        {
+            let mut sinks: Vec<&mut dyn QuerySink> =
+                bufs.iter_mut().map(|b| b as &mut dyn QuerySink).collect();
+            IntervalIndex::query_batch(pool, &queries, &mut sinks);
+        }
+        for (i, &q) in queries.iter().enumerate() {
+            let mut want = Vec::new();
+            direct.query_sink(q, &mut want);
+            let want = sorted(want);
+            let mut solo = Vec::new();
+            pool.query_sink_pooled(q, &mut solo);
+            assert_eq!(sorted(solo), want, "solo {q:?}");
+            assert_eq!(sorted(merged[i].clone()), want, "merge {q:?}");
+            assert_eq!(sorted(bufs[i].clone()), want, "dyn {q:?}");
+            assert_eq!(counts[i].count(), want.len(), "count {q:?}");
+        }
+    }
+
+    #[test]
+    fn writes_are_visible_to_the_next_read_without_a_barrier() {
+        let mut direct = sharded(4, true);
+        let mut pool = ShardPool::new(direct.clone());
+        let bounds = pool.shard_bounds().to_vec();
+        // spans shards 0..=2, so its copies in shards 1 and 2 are
+        // replicas written and deleted by fire-and-forget tasks
+        let cross = Interval::new(910_000, bounds[0].1 - 3, bounds[2].0 + 3);
+        direct.insert(cross);
+        pool.insert(cross);
+        assert_all_read_paths_match(&pool, &direct);
+        // a query lying wholly inside shard 2 reads only its replica copy
+        let tail = RangeQuery::new(bounds[2].0, bounds[2].0 + 3);
+        let mut got = Vec::new();
+        pool.query_sink_pooled(tail, &mut got);
+        assert!(got.contains(&cross.id), "replica insert invisible");
+        assert!(pool.delete(&cross));
+        assert!(direct.delete(&cross));
+        let mut after = Vec::new();
+        pool.query_sink_pooled(tail, &mut after);
+        assert!(!after.contains(&cross.id), "replica delete invisible");
+        assert_all_read_paths_match(&pool, &direct);
+        assert_eq!(pool.len(), direct.len());
+    }
+
+    #[test]
+    fn reseal_and_retune_between_writes_keep_every_read_path_exact() {
+        let mut direct = sharded(4, true);
+        let mut pool = ShardPool::new(direct.clone());
+        let stab = ExtentMix::from_extents(&[0; 64]);
+        let wide = ExtentMix::from_extents(&[8_000; 64]);
+        for (step, mix) in [stab, wide, stab].into_iter().enumerate() {
+            let s = Interval::new(920_000 + step as IntervalId, 40 + step as Time, 12_000);
+            direct.insert(s);
+            pool.insert(s);
+            assert_all_read_paths_match(&pool, &direct);
+            IntervalIndex::seal(&mut direct);
+            pool.seal_all();
+            for j in 0..pool.shard_count() {
+                pool.retune_shard(j, mix);
+            }
+            assert_all_read_paths_match(&pool, &direct);
+        }
+        assert_eq!(pool.len(), direct.len());
+    }
+
+    #[test]
+    fn unbounded_batches_dispatch_every_routed_entry() {
+        let pool = ShardPool::new(sharded(4, true));
+        let queries: Vec<RangeQuery> = (0..8).map(|_| RangeQuery::new(0, 16_383)).collect();
+        let mut sinks: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        pool.query_batch_merge(&queries, &mut sinks);
+        let stats = pool.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.routed, 8 * 4);
+        assert_eq!(stats.dispatched, 8 * 4, "fanned dispatch skips nothing");
+        assert_eq!(stats.skipped, 0);
+        // a solo bounded query stops after the first shard
+        let mut one = FirstK::new(1);
+        pool.query_sink_pooled(RangeQuery::new(0, 16_383), &mut one);
+        assert_eq!(one.len(), 1);
+        let stats = pool.stats();
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.routed, 8 * 4 + 4);
+        assert_eq!(stats.dispatched, 8 * 4 + 1);
+        assert_eq!(stats.skipped, 3);
+    }
+
+    #[test]
+    fn writes_to_a_dead_worker_fail_typed_and_keep_the_live_count() {
+        let mut pool = ShardPool::new(sharded(4, true));
+        let bounds = pool.shard_bounds().to_vec();
+        let live = pool.len();
+        // insert into the live shard 1 and across into the dead shard 2
+        let cross = Interval::new(930_000, bounds[1].1 - 3, bounds[2].0 + 3);
+        pool.insert(cross);
+        pool.kill_worker(2);
+        let inside = Interval::new(930_001, bounds[2].0 + 1, bounds[2].0 + 2);
+        assert_eq!(
+            pool.try_insert(inside),
+            Err(PoolError::WorkerDied { shard: 2 })
+        );
+        // the owner (shard 1) finds it, then the leg to shard 2 fails
+        assert_eq!(
+            pool.try_delete(&cross),
+            Err(PoolError::WorkerDied { shard: 2 })
+        );
+        assert_eq!(pool.len(), live + 1);
+        assert_eq!(pool.try_seal_all(), Err(PoolError::WorkerDied { shard: 2 }));
+        assert_eq!(
+            pool.try_retune_shard(2, ExtentMix::from_extents(&[0; 4])),
+            Err(PoolError::WorkerDied { shard: 2 })
+        );
+        // reads routed around the dead shard still succeed
+        let mut count = CountSink::new();
+        pool.try_query_sink_pooled(RangeQuery::new(0, bounds[1].1), &mut count)
+            .unwrap();
+        assert!(count.count() > 0);
+    }
+
     #[test]
     fn clone_index_matches_the_live_pool() {
         let mut pool = ShardPool::new(sharded(4, true));
@@ -1757,141 +1608,6 @@ mod tests {
         let mut cloned = cloned;
         cloned.insert(Interval::new(650_001, 5, 6));
         assert_eq!(pool.len(), live);
-    }
-
-    #[test]
-    fn replicated_pool_matches_direct_on_all_read_paths() {
-        // (logical replicas, dedicated reader threads): 0 threads is the
-        // single-core epoch-direct degenerate; >0 exercises real reader
-        // threads even on a single-core host
-        for &(n, threads) in &[(2usize, 0usize), (2, 1), (4, 3)] {
-            for k in [1, 4] {
-                let direct = sharded(k, true);
-                let pool = ShardPool::with_reader_threads(direct.clone(), n, threads);
-                assert_eq!(pool.read_replicas(), n);
-                assert_eq!(pool.reader_threads(), threads * k);
-                let queries = batch();
-                for &q in &queries {
-                    let mut want = Vec::new();
-                    direct.query_sink(q, &mut want);
-                    let mut got = Vec::new();
-                    IntervalIndex::query_sink(&pool, q, &mut got);
-                    assert_eq!(got, want, "solo n={n} t={threads} k={k} {q:?}");
-                }
-                let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
-                pool.query_batch_merge(&queries, &mut merged);
-                let mut firstk: Vec<FirstK> = queries.iter().map(|_| FirstK::new(3)).collect();
-                pool.query_batch_merge(&queries, &mut firstk);
-                let mut bufs: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
-                {
-                    let mut sinks: Vec<&mut dyn QuerySink> =
-                        bufs.iter_mut().map(|b| b as &mut dyn QuerySink).collect();
-                    IntervalIndex::query_batch(&pool, &queries, &mut sinks);
-                }
-                for (i, &q) in queries.iter().enumerate() {
-                    let mut want = Vec::new();
-                    direct.query_sink(q, &mut want);
-                    assert_eq!(merged[i], want, "merge n={n} t={threads} k={k} {q:?}");
-                    assert_eq!(bufs[i], want, "dyn n={n} t={threads} k={k} {q:?}");
-                    let mut solo = FirstK::new(3);
-                    direct.query_sink(q, &mut solo);
-                    assert_eq!(firstk[i].ids(), solo.ids(), "firstk n={n} k={k} {q:?}");
-                }
-                let stats = pool.stats();
-                assert_eq!(stats.replicas, n as u64);
-                assert!(
-                    stats.epoch_reads > 0,
-                    "replicated reads must use the epochs"
-                );
-                if threads > 0 {
-                    assert!(
-                        stats.replica_dispatched > 0,
-                        "reader threads must see work when present"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replicated_writes_are_read_your_writes() {
-        let mut pool = ShardPool::with_reader_threads(sharded(4, true), 3, 2);
-        let bounds = pool.shard_bounds().to_vec();
-        // a boundary-crossing insert must be visible to epoch reads the
-        // moment insert() returns — no seal, no barrier task
-        let cross = Interval::new(910_000, bounds[0].1 - 3, bounds[1].0 + 3);
-        pool.insert(cross);
-        let mut got = Vec::new();
-        IntervalIndex::query_sink(&pool, RangeQuery::new(cross.st, cross.end), &mut got);
-        assert!(got.contains(&cross.id), "insert invisible to epoch reads");
-        assert!(pool.delete(&cross));
-        let mut after = Vec::new();
-        IntervalIndex::query_sink(&pool, RangeQuery::new(cross.st, cross.end), &mut after);
-        assert!(
-            !after.contains(&cross.id),
-            "delete invisible to epoch reads"
-        );
-    }
-
-    #[test]
-    fn epoch_pins_drain_bit_identically_across_reseal_and_retune() {
-        let before = sharded(4, true);
-        let mut pool = ShardPool::with_reader_threads(before.clone(), 2, 1);
-        let pins = pool.pin_epochs().expect("replicated pool has epochs");
-        assert_eq!(pins.len(), 4);
-        let epoch0: Vec<u64> = pins.iter().map(|p| p.epoch()).collect();
-        // mutate + reseal + retune: the pinned epochs must not move
-        pool.insert(Interval::new(920_000, 40, 12_000));
-        pool.seal_all();
-        pool.retune_shard(2, ExtentMix::from_extents(&[0; 64]));
-        let fresh = pool.pin_epochs().unwrap();
-        assert!(
-            fresh.iter().zip(&epoch0).any(|(f, &e)| f.epoch() > e),
-            "mutations must publish new epochs"
-        );
-        for &q in &batch() {
-            // the held pins answer from the pre-mutation image ...
-            let mut old = Vec::new();
-            crate::shard::query_epoch_pins(&pins, q, &mut old);
-            let mut want_old = Vec::new();
-            before.query_sink(q, &mut want_old);
-            assert_eq!(old, want_old, "drained epoch diverged on {q:?}");
-            // ... while live reads see the post-mutation state
-            let mut live = Vec::new();
-            IntervalIndex::query_sink(&pool, q, &mut live);
-            let mut sorted_live = live.clone();
-            sorted_live.sort_unstable();
-            let hit = q.st <= 12_000 && q.end >= 40;
-            assert_eq!(
-                sorted_live.binary_search(&920_000).is_ok(),
-                hit,
-                "live read missed the insert on {q:?}"
-            );
-        }
-        // bounded reads through pins saturate early like any solo query
-        let mut k1 = FirstK::new(1);
-        crate::shard::query_epoch_pins(&pins, RangeQuery::new(0, 16_383), &mut k1);
-        let mut solo = FirstK::new(1);
-        before.query_sink(RangeQuery::new(0, 16_383), &mut solo);
-        assert_eq!(k1.ids(), solo.ids());
-    }
-
-    #[test]
-    fn saturated_staging_stats_hold_under_replication() {
-        // the bounded-sink dispatch contract is unchanged by replication:
-        // k=1 saturates at the first shard and later shards are skipped
-        let pool = ShardPool::with_reader_threads(sharded(4, true), 2, 1);
-        let queries: Vec<RangeQuery> = (0..8).map(|_| RangeQuery::new(0, 16_383)).collect();
-        let mut sinks: Vec<FirstK> = queries.iter().map(|_| FirstK::new(1)).collect();
-        pool.query_batch_merge(&queries, &mut sinks);
-        for s in &sinks {
-            assert_eq!(s.len(), 1);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.routed, 8 * 4);
-        assert_eq!(stats.dispatched, 8, "only the first shard may be scanned");
-        assert_eq!(stats.skipped, 8 * 3, "later shards must be skipped");
-        assert_eq!(stats.replica_dispatched + stats.epoch_reads, 8);
     }
 
     #[test]

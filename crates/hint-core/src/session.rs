@@ -197,7 +197,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// environment knob.
     pub fn with_retune(mut index: ShardedIndex<I>, policy: RetunePolicy) -> Self {
         IntervalIndex::seal(&mut index);
-        let pool = ShardPool::from_env(index);
+        let pool = ShardPool::new(index);
         let mixes = (0..pool.shard_count())
             .map(|_| ExtentHistogram::new())
             .collect();
@@ -214,7 +214,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// Wraps an index without sealing it (for embedders that manage the
     /// seal cycle themselves). Every shard starts dirty.
     pub fn new_unsealed(index: ShardedIndex<I>) -> Self {
-        let pool = ShardPool::from_env(index);
+        let pool = ShardPool::new(index);
         let mixes = (0..pool.shard_count())
             .map(|_| ExtentHistogram::new())
             .collect();
@@ -239,13 +239,6 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// Inclusive domain bounds `[min, max]` of the sharded index.
     pub fn domain(&self) -> (Time, Time) {
         self.pool.domain()
-    }
-
-    /// Configured logical read replicas per shard (the
-    /// `HINT_READ_REPLICAS` knob; 1 = unreplicated). Read batches are
-    /// dispatched across the replicas by the pool itself.
-    pub fn read_replicas(&self) -> usize {
-        self.pool.read_replicas()
     }
 
     /// True if writes have been applied since the last seal.

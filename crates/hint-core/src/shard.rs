@@ -51,12 +51,7 @@ use std::collections::{HashMap, HashSet};
 /// [`crate::HybridHint`], [`crate::ConcurrentHint`]), so generic
 /// front-ends like [`ShardedIndex`] can route inserts and deletes without
 /// knowing the concrete index type.
-///
-/// `Clone` is a supertrait so shard owners can publish epoch images of
-/// their state for read replication (see [`crate::ShardPool`]); sealed
-/// indexes share their arenas via `Arc`, so the clone is shallow where
-/// it matters.
-pub trait MutableIndex: IntervalIndex + Clone {
+pub trait MutableIndex: IntervalIndex {
     /// Inserts an interval.
     fn insert(&mut self, s: Interval);
 
@@ -285,102 +280,6 @@ impl<I: IntervalIndex> Shard<I> {
             replicas,
         };
         self.index.query_sink(lq, &mut filter);
-    }
-}
-
-/// The published-epoch handle for one shard under read replication: the
-/// owning worker re-publishes an `Arc` image of its shard after every
-/// mutation, and readers pick the current epoch up at batch boundaries.
-/// Old epochs drain by refcount — a long enumeration pinned to epoch
-/// `e` never stalls the publication of `e + 1`, and a reseal never
-/// invalidates an in-flight walk.
-pub(crate) struct EpochSlot<I> {
-    current: parking_lot::RwLock<std::sync::Arc<Shard<I>>>,
-    epoch: std::sync::atomic::AtomicU64,
-}
-
-impl<I> EpochSlot<I> {
-    pub(crate) fn new(shard: std::sync::Arc<Shard<I>>) -> Self {
-        Self {
-            current: parking_lot::RwLock::new(shard),
-            epoch: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Swaps in a freshly published shard image, bumping the epoch. The
-    /// swap and the bump share the write critical section so a pin never
-    /// pairs an image with the wrong epoch number.
-    pub(crate) fn publish(&self, shard: std::sync::Arc<Shard<I>>) {
-        let mut cur = self.current.write();
-        self.epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-        *cur = shard;
-    }
-
-    /// Pins the currently published image: an `Arc` clone under the read
-    /// lock, valid (and immutable) for as long as the pin is held.
-    pub(crate) fn pin(&self) -> EpochPin<I> {
-        let guard = self.current.read();
-        EpochPin {
-            epoch: self.epoch.load(std::sync::atomic::Ordering::Acquire),
-            shard: std::sync::Arc::clone(&guard),
-        }
-    }
-}
-
-/// A pinned published epoch of one shard (see
-/// [`crate::ShardPool::pin_epochs`]). Queries through the pin run
-/// against the image that was current when the pin was taken —
-/// bit-identical regardless of later writes, seals, or retunes — so a
-/// pin set is a consistent point-in-time read view of the pool.
-pub struct EpochPin<I> {
-    epoch: u64,
-    shard: std::sync::Arc<Shard<I>>,
-}
-
-impl<I> EpochPin<I> {
-    /// The epoch number this pin captured (bumped by every publication).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Inclusive `[start, end]` domain range of the pinned shard.
-    pub fn bounds(&self) -> (Time, Time) {
-        (self.shard.start, self.shard.end)
-    }
-
-    pub(crate) fn shard(&self) -> &Shard<I> {
-        &self.shard
-    }
-}
-
-/// Runs a solo query against a pinned epoch set (one pin per shard,
-/// ascending domain order — the shape [`crate::ShardPool::pin_epochs`]
-/// returns): routed shards are visited in order with the same boundary
-/// clipping and dedup-on-emit as [`ShardedIndex::query_sink`], so the
-/// results are bit-identical to a live query at the pinned state.
-pub fn query_epoch_pins<I: IntervalIndex, S: QuerySink + ?Sized>(
-    pins: &[EpochPin<I>],
-    q: RangeQuery,
-    sink: &mut S,
-) {
-    let lo = pins
-        .partition_point(|p| p.bounds().0 <= q.st)
-        .saturating_sub(1);
-    let hi = pins
-        .partition_point(|p| p.bounds().0 <= q.end)
-        .saturating_sub(1);
-    for (off, pin) in pins[lo..=hi].iter().enumerate() {
-        if sink.is_saturated() {
-            return;
-        }
-        let j = lo + off;
-        let (start, end) = pin.bounds();
-        let lq = RangeQuery {
-            st: if j == lo { q.st } else { start },
-            end: if j == hi { q.end } else { end },
-        };
-        pin.shard().query_local(lq, j == lo, sink);
     }
 }
 

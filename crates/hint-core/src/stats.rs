@@ -236,33 +236,6 @@ impl WorkloadStats {
     }
 }
 
-/// A lock-free in-flight depth gauge. Replica routing compares these
-/// across a shard's reader fleet to pick the least-loaded replica;
-/// `enter`/`exit` bracket one unit of dispatched work.
-#[derive(Debug, Default)]
-pub struct InflightGauge(AtomicU64);
-
-impl InflightGauge {
-    /// Marks one unit of work entering; returns the depth including it.
-    pub fn enter(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Marks one unit of work leaving (saturating at zero).
-    pub fn exit(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
-    /// Current in-flight depth.
-    pub fn load(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,9 @@
 //! optionally core-pinned worker thread (`hint_core::ShardPool`,
 //! `HINT_SHARD_PIN`), so `query_batch_merge` dispatches sub-batches
 //! over channels with zero per-batch thread spawns; serving parallelism
-//! and index parallelism compose without sharing state. Between
+//! and index parallelism compose without sharing state. That owning
+//! worker is the only route a read takes to its shard, so a read queued
+//! after a write always sees it. Between
 //! batches, when the request stream goes idle, the scheduler may reseal
 //! dirty shards at a re-tuned per-shard `m` chosen from the observed
 //! query-extent mix (`HINT_SERVE_RETUNE=idle`; see `docs/tuning.md`).
@@ -306,13 +308,6 @@ pub struct BatchStats {
     /// exhaustion, retried with bounded backoff instead of killing the
     /// acceptor thread).
     pub accept_errors: u64,
-    /// Configured logical read replicas per shard in the served session
-    /// (the `HINT_READ_REPLICAS` knob; 1 = unreplicated).
-    pub read_replicas: u64,
-    /// Shard sub-batches answered from published epochs (replica reader
-    /// threads plus scheduler-inline epoch reads) rather than the
-    /// owning worker's queue. Zero when unreplicated.
-    pub replica_reads: u64,
     /// Requests refused by admission control: answered in FIFO position
     /// with a recoverable [`Status::Overloaded`] trailer, never
     /// executed.
@@ -1059,7 +1054,6 @@ impl Scheduler {
         stats: Arc<RwLock<BatchStats>>,
         gate: AdmissionGate,
     ) -> Self {
-        stats.write().read_replicas = session.read_replicas() as u64;
         let max = hint_core::env::var_or(
             "HINT_MAX_INDEXES",
             DEFAULT_MAX_INDEXES,
@@ -1758,23 +1752,10 @@ impl Scheduler {
             largest = largest.max(queries.len());
         }
         if ran > 0 {
-            // mirror the pools' epoch-read counters (the pools own the
-            // running totals; sum across catalog entries)
-            let replica_reads: u64 = self
-                .catalog
-                .entries
-                .iter()
-                .flatten()
-                .map(|e| {
-                    let pool = e.session.pool().stats();
-                    pool.epoch_reads + pool.replica_dispatched
-                })
-                .sum();
             let mut stats = self.stats.write();
             stats.batches += ran;
             stats.queries += total;
             stats.largest_batch = stats.largest_batch.max(largest);
-            stats.replica_reads = replica_reads;
         }
         // one buffer per connection, its replies in FIFO order, and one
         // send each: the writer wakes once per batch, not per reply
@@ -1950,27 +1931,6 @@ mod tests {
             .unwrap();
         // a fatal error exits immediately: no accept_errors counted,
         // and shutdown joins the acceptor without a wake-up address
-        server.shutdown();
-    }
-
-    #[test]
-    fn batch_stats_report_the_replica_configuration() {
-        // `Session::new` honors HINT_READ_REPLICAS (the CI sweep sets
-        // it), so assert against what the session actually configured
-        let sess = session();
-        let replicas = sess.read_replicas() as u64;
-        let server = Server::start(sess, ServeConfig::default()).unwrap();
-        let (c, s) = duplex();
-        server.attach(s);
-        let mut client = Client::new(c).unwrap();
-        client.query(RangeQuery::new(0, 100)).unwrap();
-        let stats = server.stats();
-        assert_eq!(stats.read_replicas, replicas);
-        if replicas == 1 {
-            assert_eq!(stats.replica_reads, 0, "unreplicated reads use the pool");
-        } else {
-            assert!(stats.replica_reads > 0, "replicated reads skip the pool");
-        }
         server.shutdown();
     }
 

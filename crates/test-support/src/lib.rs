@@ -273,9 +273,9 @@ pub mod lifecycle {
 
     use super::{expect_same_results, fuzz, shard_counts};
     use hint_core::{
-        query_epoch_pins, CountSink, Domain, EpochPin, ExistsSink, FirstK, HandleSink, HintMSubs,
-        Interval, IntervalId, IntervalIndex, QuerySink, RangeQuery, RetunePolicy, ScanOracle,
-        Session, ShardedIndex, SubsConfig,
+        CountSink, Domain, ExistsSink, FirstK, HandleSink, HintMSubs, Interval, IntervalId,
+        IntervalIndex, QuerySink, RangeQuery, RetunePolicy, ScanOracle, Session, ShardedIndex,
+        SubsConfig,
     };
 
     /// A point-in-time pair: snapshot bytes and the live set they
@@ -318,26 +318,8 @@ pub mod lifecycle {
             let mut rng = fuzz::Rng::new(seed ^ 0x11f3_c1c1);
             let mut next_id = 500_000u64;
             let mut snap: Option<SnapPoint> = None;
-            // when the pool is replicated (HINT_READ_REPLICAS >= 2, as
-            // in the CI replica sweep), pin the published epochs
-            // mid-run and hold them across every later step: the pins'
-            // answers at the end must still match the oracle state at
-            // pin time — drained epochs never see later mutations
-            type PinProbe = (Vec<EpochPin<HintMSubs>>, Vec<(RangeQuery, Vec<IntervalId>)>);
-            let mut pinned: Option<PinProbe> = None;
             for step in 0..60 {
                 let ctx = |what: &str| format!("seed {seed:#x} K={k} step {step}: {what}");
-                if step == 20 {
-                    if let Some(pins) = session.pool().pin_epochs() {
-                        let probes = w
-                            .queries
-                            .iter()
-                            .take(6)
-                            .map(|&q| (q, oracle.query_sorted(q)))
-                            .collect();
-                        pinned = Some((pins, probes));
-                    }
-                }
                 match rng.below(15) {
                     0..=2 => {
                         // insert (sometimes deliberately out of domain)
@@ -534,20 +516,6 @@ pub mod lifecycle {
                             );
                         }
                     }
-                }
-            }
-            // the epochs pinned mid-run drained untouched: 40 steps of
-            // inserts, deletes, reseals, re-tunes and restores later,
-            // they still answer from their point-in-time image
-            if let Some((pins, probes)) = pinned {
-                for (q, want) in probes {
-                    let mut got: Vec<IntervalId> = Vec::new();
-                    query_epoch_pins(&pins, q, &mut got);
-                    got.sort_unstable();
-                    assert_eq!(
-                        got, want,
-                        "seed {seed:#x} K={k}: pinned epoch drifted on {q:?}"
-                    );
                 }
             }
             // final reseal (+ possible re-tunes), then the full

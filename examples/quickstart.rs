@@ -170,32 +170,7 @@ fn main() {
     );
     std::fs::remove_file(&path).ok();
 
-    // --- 12. epoch-published read replicas ------------------------------
-    // HINT_READ_REPLICAS=N (or `ShardPool::with_read_replicas`) gives
-    // every shard N epoch-published read replicas: each acknowledged
-    // write republishes the shard before the ack, and reads pin the
-    // current epoch and walk it without touching the worker's dispatch
-    // channel. With spare cores the replicas get dedicated reader
-    // threads; on a single core reads run caller-inline on the pinned
-    // epoch — zero channel hops either way. See docs/tuning.md.
-    use hint_suite::hint_core::ShardPool;
-    let sharded = ShardedIndex::build_with_domain(&data, 0, 1_000, 2, |slice, lo, hi| {
-        HintMSubs::build_with_domain(slice, Domain::new(lo, hi, 6), SubsConfig::full())
-    });
-    let pool = ShardPool::with_read_replicas(sharded, 4);
-    let mut replicated = Vec::new();
-    pool.query_sink(RangeQuery::new(22, 55), &mut replicated);
-    replicated.sort_unstable();
-    assert_eq!(replicated, vec![1, 2, 3, 4]); // same as step 3, off an epoch pin
-    let stats = pool.stats();
-    assert_eq!(stats.replicas, 4);
-    assert!(stats.epoch_reads + stats.replica_dispatched > 0);
-    println!(
-        "replicated [22, 55]:  {replicated:?} ({} replicas/shard)",
-        stats.replicas
-    );
-
-    // --- 13. named indexes and a served join ----------------------------
+    // --- 12. named indexes and a served join ----------------------------
     // The server hosts a catalog of named indexes; every verb can
     // address one explicitly (`*_on`), and `Join` runs server-side
     // between two of them, streaming (outer, inner) id pairs. Writes
@@ -239,7 +214,7 @@ fn main() {
     }
     server.shutdown();
 
-    // --- 14. latency engineering: adaptive window, QoS lanes, admission -
+    // --- 13. latency engineering: adaptive window, QoS lanes, admission -
     // By default the scheduler's batch window is adaptive (a bounded
     // AIMD controller replaces the static HINT_SERVE_MAX_BATCH /
     // HINT_SERVE_MAX_DELAY_US dial), bounded verbs and FLAG_PRIORITY

@@ -548,58 +548,6 @@ fn saturated_first_k_stops_dispatching_across_shards() {
     );
 }
 
-/// The replicated pool end to end: a `with_read_replicas(4)` pool over
-/// a seeded workload answers bit-identically to its unreplicated direct
-/// twin on every read path — across writes, a reseal (which publishes
-/// fresh epochs), and a re-tune — and epochs pinned before the mutation
-/// keep answering from their point-in-time image (the drain property
-/// the serve scheduler relies on for torn-free reads).
-#[test]
-fn replicated_pool_differential_against_unreplicated_twin() {
-    use hint_suite::hint_core::{query_epoch_pins, ExtentMix};
-    let w = fuzz::workload(0xEF0C, DOM, 700, 16, 0);
-    for k in shard_counts() {
-        let mut direct = build_sharded(&w.data, k, SubsConfig::update_friendly());
-        direct.seal();
-        let mut pool = ShardPool::with_read_replicas(direct.clone(), 4);
-        assert_eq!(pool.read_replicas(), 4);
-        expect_same_results(
-            &format!("replicated K={k} sealed"),
-            &pool,
-            &ScanOracle::new(&w.data),
-            &w.queries,
-        );
-        // pin the published epochs, then mutate + reseal + re-tune
-        let pins = pool.pin_epochs().expect("replicated pool has epochs");
-        let pre: Vec<Vec<IntervalId>> = w
-            .queries
-            .iter()
-            .take(8)
-            .map(|&q| ScanOracle::new(&w.data).query_sorted(q))
-            .collect();
-        let mut oracle = ScanOracle::new(&w.data);
-        let extra = Interval::new(870_000, 100, DOM - 100);
-        pool.insert(extra);
-        oracle.insert(extra);
-        assert!(pool.delete(&w.data[3]));
-        oracle.delete(w.data[3].id);
-        pool.seal_all();
-        pool.retune_shard(k / 2, ExtentMix::from_extents(&[0; 32]));
-        expect_same_results(
-            &format!("replicated K={k} post-mutation"),
-            &pool,
-            &oracle,
-            &w.queries,
-        );
-        for (q, want) in w.queries.iter().take(8).zip(&pre) {
-            let mut got: Vec<IntervalId> = Vec::new();
-            query_epoch_pins(&pins, *q, &mut got);
-            got.sort_unstable();
-            assert_eq!(&got, want, "K={k}: drained epoch moved on {q:?}");
-        }
-    }
-}
-
 /// Two sessions racing saves to one path: with per-save unique temp
 /// files the committed snapshot is always exactly one racer's state
 /// (never bytes interleaved from both), it restores cleanly, and no
