@@ -1,5 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the HINT
-//! paper's evaluation (§5) on the statistical dataset clones.
+//! paper's evaluation (§5) on the statistical dataset clones, plus a few
+//! library-level studies. Served (wire-path) performance is measured by
+//! `hintbench` (`crates/bench/src/bin/hintbench`, run as declared in
+//! `BENCHMARK.json`), not here.
 //!
 //! ```text
 //! cargo run -p bench --release --bin harness -- <experiment> [flags]
@@ -10,11 +13,8 @@
 //!   countmode       extra: enumerate vs count vs exists throughput
 //!   cachelayout     extra: nested-Vec vs sealed-CSR storage + query_batch
 //!   shardscale      extra: sharded parallel executor throughput vs K
-//!   serve           extra: batched serving latency/throughput vs batch window
-//!   latency         extra: open-loop Poisson load vs the adaptive window, lanes, admission
 //!   retune          extra: persistent worker pool vs scoped fan-out + adaptive per-shard m
 //!   snapshot        extra: durable snapshot save bandwidth + restore vs rebuild
-//!   scenarios       extra: multi-index catalog verbs (Allen/join/top-k) vs the direct library
 //!   all             run everything (paper order)
 //!
 //! flags:
@@ -31,7 +31,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <fig10|fig11|fig12|fig13|fig14|table6|table7|table8|table9|table10|ablation|countmode|cachelayout|shardscale|serve|latency|retune|snapshot|scenarios|all> \
+        "usage: harness <fig10|fig11|fig12|fig13|fig14|table6|table7|table8|table9|table10|ablation|countmode|cachelayout|shardscale|retune|snapshot|all> \
          [--quick] [--scale N] [--queries N] [--max-m N] [--seed N]"
     );
     exit(2);
@@ -109,11 +109,8 @@ fn main() {
         "countmode" => experiments::countmode::run(&cfg),
         "cachelayout" => experiments::cachelayout::run(&cfg),
         "shardscale" => experiments::shardscale::run(&cfg),
-        "serve" => experiments::serve::run(&cfg),
-        "latency" => experiments::latency::run(&cfg),
         "retune" => experiments::retune::run(&cfg),
         "snapshot" => experiments::snapshot::run(&cfg),
-        "scenarios" => experiments::scenarios::run(&cfg),
         _ => usage(),
     };
     if experiment == "all" {
@@ -132,11 +129,8 @@ fn main() {
             "countmode",
             "cachelayout",
             "shardscale",
-            "serve",
-            "latency",
             "retune",
             "snapshot",
-            "scenarios",
         ] {
             run_one(name);
             println!();

@@ -12,10 +12,7 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
-pub mod latency;
 pub mod retune;
-pub mod scenarios;
-pub mod serve;
 pub mod shardscale;
 pub mod snapshot;
 pub mod table10;

@@ -2,12 +2,13 @@
 //! replaces the static `max_batch`/`max_delay` dial with a window tuned
 //! from what the scheduler actually observes.
 //!
-//! `BENCH_serve.json` motivated this: the static window is a cliff, not
-//! a dial. Window-16 beat window-1 by 1.68x, but window-64 *collapsed*
-//! to 0.68x with 2.9x worse p50 — because the configured window was
-//! larger than the traffic's in-flight request count, so every batch
-//! waited out the full `max_delay` before flushing. The controller
-//! closes that failure mode from both ends:
+//! The static window is a cliff, not a dial. In the closed-loop serving
+//! experiment this controller was built against, window-16 beat
+//! window-1 by 1.68x, but window-64 *collapsed* to 0.68x with 2.9x worse
+//! p50 — because the configured window was larger than the traffic's
+//! in-flight request count, so every batch waited out the full
+//! `max_delay` before flushing. The controller closes that failure mode
+//! from both ends:
 //!
 //! * **Additive increase, escalating to slow-start**: a batch that
 //!   flushed *full* means the window is the bottleneck — widen by one
@@ -32,7 +33,11 @@
 //! The controller is **pure and deterministic**: it never reads the
 //! clock — the scheduler feeds it timestamps in microseconds — so the
 //! seeded property tests (`tests/regressions.rs`) replay arrival
-//! patterns bit-for-bit. In `HINT_SERVE_WINDOW=fixed` mode the
+//! patterns bit-for-bit, the window-64 cliff among them: a sparse
+//! arrival stream through the scheduler's flush rule must wait clearly
+//! less under the controller than under a static 64-wide window. Its
+//! end-to-end effect is measured by hintbench's `serve-mixed` and
+//! `serve-saturate` workloads. In `HINT_SERVE_WINDOW=fixed` mode the
 //! scheduler never constructs one, leaving the static path byte-
 //! identical to the pre-controller servers.
 

@@ -213,9 +213,10 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The pre-controller configuration: a static window of exactly
-    /// `max_batch`/`max_delay`, no lanes, effectively-unbounded
-    /// admission. Scheduling behavior is byte-identical to servers
-    /// built before the adaptive controller existed.
+    /// `max_batch`/`max_delay` and no lanes. Admission keeps the default
+    /// budgets (`conn_pending` 256, `max_pending` 4096). Window
+    /// scheduling is byte-identical to servers built before the adaptive
+    /// controller existed.
     pub fn fixed(max_batch: usize, max_delay: Duration) -> Self {
         Self {
             max_batch,
@@ -228,22 +229,18 @@ impl ServeConfig {
 
     /// Reads the `HINT_SERVE_*` scheduler knobs over the defaults:
     /// `HINT_SERVE_WINDOW` (`fixed`/`adaptive`), `HINT_SERVE_MAX_BATCH`
-    /// and its alias `HINT_SERVE_WINDOW_MAX` (queries, >= 1),
-    /// `HINT_SERVE_WINDOW_MIN` (>= 1), `HINT_SERVE_MAX_DELAY_US`
-    /// (microseconds), `HINT_SERVE_CONN_PENDING` / `HINT_SERVE_MAX_PENDING`
-    /// (admission budgets, >= 1) and `HINT_SERVE_LANES` (`on`/`off`).
+    /// (queries, >= 1), `HINT_SERVE_WINDOW_MIN` (>= 1),
+    /// `HINT_SERVE_MAX_DELAY_US` (microseconds), `HINT_SERVE_CONN_PENDING`
+    /// / `HINT_SERVE_MAX_PENDING` (admission budgets, >= 1) and
+    /// `HINT_SERVE_LANES` (`on`/`off`).
     /// Rejected values warn once on stderr and fall back (see
     /// [`hint_core::env`]).
     pub fn from_env() -> Self {
         let d = Self::default();
-        let max_batch =
-            hint_core::env::var_or("HINT_SERVE_MAX_BATCH", d.max_batch, "must be >= 1", |&n| {
-                n >= 1
-            });
         Self {
             max_batch: hint_core::env::var_or(
-                "HINT_SERVE_WINDOW_MAX",
-                max_batch,
+                "HINT_SERVE_MAX_BATCH",
+                d.max_batch,
                 "must be >= 1",
                 |&n| n >= 1,
             ),
@@ -286,8 +283,8 @@ impl ServeConfig {
 }
 
 /// Scheduler counters: how well the batching policy is doing. Snapshot
-/// via [`Server::stats`]; the bench harness reports the observed mean
-/// batch size next to each throughput row.
+/// via [`Server::stats`]; hintbench reports the observed mean batch
+/// size as its `server.mean_batch` metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Batches executed (flushes with at least one query).

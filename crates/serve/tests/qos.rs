@@ -15,7 +15,7 @@ use hint_core::{
 };
 use serve::{duplex, Client, DuplexTransport, Request, ServeConfig, Server, Status};
 use std::cell::RefCell;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use test_support::{expect_same_results, fuzz};
 
 const DOM: u64 = 8_192;
@@ -310,5 +310,95 @@ fn global_budget_sheds_across_many_connections() {
         assert_eq!(ids.len(), w.data.len());
     }
     drop(clients);
+    server.shutdown();
+}
+
+/// The lanes' reason to exist: a bounded query never waits out the
+/// batch timer. Under a static window the flood cannot fill and a long
+/// deadline, a `top_k` from a quiet connection returns at once with
+/// lanes on and sits in the flood's batch until the deadline with lanes
+/// off. The two bounds are a quarter and a half of `max_delay` apart,
+/// so the assert measures the scheduling policy, not host jitter.
+#[test]
+fn lanes_let_a_bounded_query_skip_the_batch_timer() {
+    let w = fuzz::workload(0xa05_0006, DOM, 400, 0, 0);
+    const MAX_DELAY: Duration = Duration::from_millis(300);
+    const FLOOD: usize = 64;
+    let q = RangeQuery::new(100, 2_000);
+    for lanes in [true, false] {
+        let config = ServeConfig {
+            lanes,
+            ..ServeConfig::fixed(1_024, MAX_DELAY)
+        };
+        let server = start_server(&w.data, 4, config);
+        let mut bounded = connect(&server);
+        let want_top = bounded.top_k(5, q).expect("unloaded top-k");
+
+        let mut flood = connect(&server);
+        for i in 0..FLOOD {
+            let st = (i as u64 * 37) % (DOM - 600);
+            flood
+                .send(&Request::Query(RangeQuery::new(st, st + 512)))
+                .unwrap();
+        }
+        let t = Instant::now();
+        let got_top = bounded.top_k(5, q).expect("top-k under flood");
+        let waited = t.elapsed();
+        assert_eq!(got_top, want_top, "lanes {lanes}: bounded reply changed");
+        if lanes {
+            assert!(
+                waited < MAX_DELAY / 4,
+                "lanes on: top-k waited {waited:?}, the batch timer is {MAX_DELAY:?}"
+            );
+        } else {
+            assert!(
+                waited >= MAX_DELAY / 2,
+                "lanes off: top-k returned in {waited:?}, before the {MAX_DELAY:?} timer"
+            );
+        }
+        for i in 0..FLOOD {
+            let reply = flood.recv_reply(|_| {}).expect("flood replies decode");
+            assert_eq!(reply.status, Status::Ok, "lanes {lanes}: flood reply {i}");
+        }
+        drop(bounded);
+        drop(flood);
+        server.shutdown();
+    }
+}
+
+/// Admission at exactly the budget sheds nothing. On the default
+/// scheduler (adaptive window, lanes on) one connection keeps exactly
+/// `conn_pending` queries outstanding, round after round; every batch
+/// the scheduler executes hands its budget back to the gate, so no
+/// request is ever refused. Shedding past the budget is covered by the
+/// two fixed-mode flood tests above.
+#[test]
+fn pipelining_exactly_the_connection_budget_sheds_nothing() {
+    let w = fuzz::workload(0xa05_0007, DOM, 300, 0, 0);
+    let oracle = ScanOracle::new(&w.data);
+    let config = ServeConfig::default();
+    let server = start_server(&w.data, 4, config);
+    let mut client = connect(&server);
+    let mut rng = fuzz::Rng::new(0xa05_0008);
+    for round in 0..4 {
+        let queries: Vec<RangeQuery> = (0..config.conn_pending)
+            .map(|_| {
+                let st = rng.below(DOM - 600);
+                RangeQuery::new(st, st + rng.below(512))
+            })
+            .collect();
+        for q in &queries {
+            client.send(&Request::Query(*q)).unwrap();
+        }
+        for (i, q) in queries.iter().enumerate() {
+            let mut got = Vec::new();
+            let reply = client.recv_reply(|ids| got.extend_from_slice(ids)).unwrap();
+            assert_eq!(reply.status, Status::Ok, "round {round} reply {i}");
+            got.sort_unstable();
+            assert_eq!(got, oracle.query_sorted(*q), "round {round} reply {i}");
+        }
+    }
+    assert_eq!(server.stats().shed, 0, "nothing was over budget");
+    drop(client);
     server.shutdown();
 }

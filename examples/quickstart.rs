@@ -238,13 +238,6 @@ fn main() {
     assert_eq!(urgent, vec![1, 2, 3, 4]); // same answer, high lane
     println!("priority [22, 55]:    {urgent:?}");
     server.shutdown();
-    // measure it: the open-loop load harness sweeps offered load at
-    // 0.25x/0.6x/1.5x of measured capacity across static windows and
-    // the adaptive controller, reporting p50/p99/p999 and shed rate:
-    //
-    //   cargo run -p bench --release --bin harness -- latency --quick
-    //
-    // (full mode drops --quick; results land in BENCH_latency.json)
 
     println!("quickstart OK");
 }

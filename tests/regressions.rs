@@ -333,6 +333,89 @@ fn regress_controller_seed_0x7e11_7a1e() {
     replay_controller(0x7e11_7a1e);
 }
 
+/// Median per-request wait, in microseconds, of `arrivals` (ascending
+/// microsecond timestamps) run through the scheduler's flush rule: the
+/// open batch flushes when it holds the current window, or at its open
+/// time plus the delay in force when it opened. Without a controller
+/// the window and delay are the static `max_batch`/`max_delay`, as in
+/// the scheduler's fixed mode.
+fn median_wait_us(
+    arrivals: &[u64],
+    mut controller: Option<serve::WindowController>,
+    max_batch: usize,
+    max_delay: std::time::Duration,
+) -> u64 {
+    let mut waits = Vec::with_capacity(arrivals.len());
+    let mut batch: Vec<u64> = Vec::new();
+    let mut deadline = 0u64;
+    for &t in arrivals {
+        if !batch.is_empty() && deadline <= t {
+            if let Some(c) = &mut controller {
+                c.on_flush(batch.len(), true);
+            }
+            waits.extend(batch.drain(..).map(|a| deadline - a));
+        }
+        if let Some(c) = &mut controller {
+            c.on_arrival(t);
+        }
+        if batch.is_empty() {
+            let delay = controller.as_ref().map_or(max_delay, |c| c.delay());
+            deadline = t + delay.as_micros() as u64;
+        }
+        batch.push(t);
+        if batch.len() >= controller.as_ref().map_or(max_batch, |c| c.window()) {
+            if let Some(c) = &mut controller {
+                c.on_flush(batch.len(), false);
+            }
+            waits.extend(batch.drain(..).map(|a| t - a));
+        }
+    }
+    waits.extend(batch.drain(..).map(|a| deadline - a));
+    waits.sort_unstable();
+    waits[waits.len() / 2]
+}
+
+/// The window-64 cliff, replayed without a clock. One seeded sparse
+/// stream (exponential gaps, mean 2 ms) runs through the flush rule
+/// twice: under the controller (window 1..=64, delay cap 500 µs) and
+/// under a static 64-wide, 500 µs window. Gaps that wide almost never
+/// fill even two slots within 500 µs, so the static window
+/// deadline-flushes nearly every batch and its median request waits
+/// the full 500 µs. The controller must keep its median clearly under
+/// that floor; one that stops shrinking on deadline flushes parks at
+/// window 2 and waits the full delay too.
+#[test]
+fn regress_controller_sparse_arrivals_avoid_the_window_64_cliff() {
+    use serve::{ControllerConfig, WindowController};
+    const MAX_DELAY: std::time::Duration = std::time::Duration::from_micros(500);
+    const MEAN_GAP_US: f64 = 2_000.0;
+    let mut rng = fuzz::Rng::new(0xc11f_0064);
+    let mut now = 0u64;
+    let arrivals: Vec<u64> = (0..2_000)
+        .map(|_| {
+            let u = (rng.below(1 << 53) + 1) as f64 / (1u64 << 53) as f64;
+            now += (-u.ln() * MEAN_GAP_US) as u64;
+            now
+        })
+        .collect();
+    let controller = WindowController::new(ControllerConfig {
+        min_window: 1,
+        max_window: 64,
+        max_delay: MAX_DELAY,
+    });
+    let adaptive = median_wait_us(&arrivals, Some(controller), 64, MAX_DELAY);
+    let fixed = median_wait_us(&arrivals, None, 64, MAX_DELAY);
+    assert_eq!(
+        fixed,
+        MAX_DELAY.as_micros() as u64,
+        "the static window must deadline-flush at this arrival rate"
+    );
+    assert!(
+        adaptive as f64 <= 0.9 * fixed as f64,
+        "controller median wait {adaptive} us reproduced the static window's {fixed} us"
+    );
+}
+
 /// Degenerate-workload replay: tiny domains, point intervals, and a
 /// single-interval dataset — shapes that historically break routing and
 /// boundary math first.
