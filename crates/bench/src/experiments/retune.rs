@@ -1,22 +1,20 @@
 //! Pool-dispatch + serve-time re-tuning study (beyond the paper's
-//! figures): the PR 5 persistent shard-worker pool against the PR 3
-//! per-batch scoped fan-out, and adaptive per-shard `m` re-tuning
-//! against a mis-tuned baseline on a skewed query-extent mix.
+//! figures): the persistent shard-worker pool against the inline walk,
+//! and adaptive per-shard `m` re-tuning against a mis-tuned baseline on
+//! a skewed query-extent mix.
 //!
 //! **Part 1 — dispatch.** The same sealed `ShardedIndex` (TAXIS clone,
-//! K = 4) answers the same batched enumeration workload three ways:
+//! K = 4) answers the same batched enumeration workload two ways:
 //!
-//! * **inline** — `query_batch_merge` at the machine's own worker cap
-//!   (on a single-core host this degenerates to the zero-spawn inline
-//!   walk: the floor);
-//! * **scoped** — the PR 3 fan-out with one thread *spawned per batch*
-//!   per active shard (`query_batch_merge_workers` forced to K), the
-//!   multi-core path whose per-batch spawn cost the pool eliminates;
+//! * **inline** — the index's own `query_batch_merge`, each shard's
+//!   sub-batch drained on the calling thread with no threads or forks:
+//!   the floor;
 //! * **pool** — the persistent, optionally core-pinned shard workers
-//!   (`ShardPool::query_batch_merge`), batches dispatched over channels.
+//!   (`ShardPool::query_batch_merge`), batches dispatched over channels
+//!   and per-shard forks merged back in shard order.
 //!
-//! Results are asserted bit-identical across all three before anything
-//! is timed.
+//! Results are asserted bit-identical across both before anything is
+//! timed.
 //!
 //! **Part 2 — re-tune.** A deliberately coarse hierarchy (`m = 5`) is
 //! built per shard and served a stab-heavy mix it is mis-tuned for; the
@@ -29,9 +27,7 @@
 
 use crate::datasets::{self, Dataset};
 use crate::experiments::{model_m, rule, uniform_queries, DEFAULT_EXTENT};
-use crate::measure::{
-    batched_throughput_with, merge_batch_throughput, pool_batch_throughput, scoped_batch_throughput,
-};
+use crate::measure::{batched_throughput_with, merge_batch_throughput, pool_batch_throughput};
 use crate::RunConfig;
 use hint_core::{
     Domain, HintMSubs, Interval, IntervalId, IntervalIndex, RangeQuery, RetunePolicy, Session,
@@ -107,7 +103,7 @@ fn window_results<F: FnMut(&[RangeQuery], &mut [Vec<IntervalId>])>(
 
 /// Runs the experiment and writes `BENCH_retune.json`.
 pub fn run(cfg: &RunConfig) {
-    println!("== Pool dispatch vs scoped fan-out + serve-time m re-tuning (K = {SHARDS}) ==");
+    println!("== Pool dispatch vs inline walk + serve-time m re-tuning (K = {SHARDS}) ==");
     let ds = taxis(cfg);
     let m = model_m(&ds, DEFAULT_EXTENT, cfg.max_m);
     let shard_m = m.saturating_sub(SHARDS.trailing_zeros()).max(1);
@@ -124,57 +120,31 @@ pub fn run(cfg: &RunConfig) {
     let index = build_sharded(&ds, |_, _| shard_m);
     let pool = ShardPool::new(index.clone());
     let queries = uniform_queries(&ds, DEFAULT_EXTENT, cfg);
-    // bit-identity across all three executors, asserted before timing
-    let want = window_results(
-        &queries.queries()[..BATCH.min(queries.queries().len())],
-        |c, b| index.query_batch_merge(c, b),
-    );
-    let scoped = window_results(
-        &queries.queries()[..BATCH.min(queries.queries().len())],
-        |c, b| index.query_batch_merge_workers(c, b, SHARDS),
-    );
-    let pooled = window_results(
-        &queries.queries()[..BATCH.min(queries.queries().len())],
-        |c, b| pool.query_batch_merge(c, b),
-    );
-    assert_eq!(want, scoped, "scoped fan-out diverged from inline");
+    // bit-identity across both routes, asserted before timing
+    let window = &queries.queries()[..BATCH.min(queries.queries().len())];
+    let want = window_results(window, |c, b| index.query_batch_merge(c, b));
+    let pooled = window_results(window, |c, b| pool.query_batch_merge(c, b));
     assert_eq!(want, pooled, "pool dispatch diverged from inline");
 
     let inline = best_of(|| merge_batch_throughput(&index, queries.queries(), BATCH));
-    let scoped = best_of(|| scoped_batch_throughput(&index, queries.queries(), BATCH, SHARDS));
     let pooled = best_of(|| pool_batch_throughput(&pool, queries.queries(), BATCH));
-    assert_eq!(inline.results, scoped.results, "scoped result drift");
     assert_eq!(inline.results, pooled.results, "pool result drift");
     println!(
-        "\n{:>10} {:>14} {:>14} {:>14} {:>16} {:>10}",
-        "extent", "inline q/s", "scoped q/s", "pool q/s", "pool/scoped", "results"
+        "\n{:>10} {:>14} {:>14} {:>10}",
+        "extent", "inline q/s", "pool q/s", "results"
     );
-    rule(84);
+    rule(52);
     println!(
-        "{:>9.2}% {:>14.0} {:>14.0} {:>14.0} {:>15.2}x {:>10}",
+        "{:>9.2}% {:>14.0} {:>14.0} {:>10}",
         DEFAULT_EXTENT * 100.0,
         inline.qps,
-        scoped.qps,
         pooled.qps,
-        pooled.qps / scoped.qps.max(1e-9),
         inline.results,
     );
-    if pooled.qps < scoped.qps {
-        println!("  !! pool dispatch lost to the per-batch scoped fan-out");
-    }
     let dispatch_row = format!(
         "\n    {{\"dataset\": \"{}\", \"extent\": {}, \"shards\": {}, \"batch\": {}, \
-         \"inline_qps\": {:.1}, \"scoped_qps\": {:.1}, \"pool_qps\": {:.1}, \
-         \"pool_vs_scoped\": {:.3}, \"results\": {}}}",
-        ds.name,
-        DEFAULT_EXTENT,
-        SHARDS,
-        BATCH,
-        inline.qps,
-        scoped.qps,
-        pooled.qps,
-        pooled.qps / scoped.qps.max(1e-9),
-        inline.results,
+         \"inline_qps\": {:.1}, \"pool_qps\": {:.1}, \"results\": {}}}",
+        ds.name, DEFAULT_EXTENT, SHARDS, BATCH, inline.qps, pooled.qps, inline.results,
     );
     drop(pool);
 
@@ -267,7 +237,7 @@ pub fn run(cfg: &RunConfig) {
         .unwrap();
     }
     let json = format!(
-        "{{\n  \"experiment\": \"retune\",\n  \"workload\": \"pool dispatch vs scoped fan-out; \
+        "{{\n  \"experiment\": \"retune\",\n  \"workload\": \"pool dispatch vs inline walk; \
          adaptive per-shard m on a stab-only mix vs a coarse baseline\",\n  \
          \"config\": {{\"scale_mul\": {}, \"queries\": {}, \"max_m\": {}, \"seed\": {}, \
          \"shards\": {}, \"batch\": {}, \"repeats\": {}, \"coarse_m\": {}}},\n  \

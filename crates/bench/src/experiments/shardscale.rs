@@ -1,32 +1,33 @@
 //! Shard-scaling study (beyond the paper's figures): query throughput of
-//! the `ShardedIndex` parallel executor vs shard count.
+//! a `ShardedIndex` and of the `ShardPool` over it vs shard count.
 //!
 //! PR 2's sealed CSR arenas made every HINT^m variant immutable and
 //! trivially shardable by domain range; this experiment quantifies the
 //! serving-side payoff. The domain is split into K ∈ {1, 2, 4, 8}
 //! contiguous shards (boundary-crossing intervals replicated with
-//! dedup-on-emit), and batches of queries fan out with one thread per
-//! shard, per-shard results merged back in shard order.
+//! dedup-on-emit). A batch is routed once; the index drains it shard by
+//! shard on the calling thread, while the pool fans it out to one
+//! persistent worker per shard and merges the per-shard forks back in
+//! shard order.
 //!
 //! Five execution modes per (dataset, extent, K):
 //!
 //! * **solo** — sequential `query_sink`, shards visited in order: the
 //!   routing overhead floor (no parallelism; should stay flat with K);
-//! * **batch** — the trait-level parallel `query_batch` (per-shard
-//!   thread-local buffers merged via `emit_slice`), materializing every
-//!   result into per-query `Vec`s;
-//! * **merge** — the typed `query_batch_merge` fast path with zero-copy
+//! * **batch** — the index's trait-level `query_batch`, draining each
+//!   shard's sub-batch into per-query `Vec`s on the calling thread;
+//! * **merge** — the pool's typed `query_batch_merge` with zero-copy
 //!   `HandleSink` forks: comparison-free runs cross the fork/merge
 //!   boundary as arena-slice handles and nothing is materialized — the
-//!   shape the wire server drives (its `WireSink` encodes frames
-//!   straight from the arena slices). An untimed in-run differential
-//!   pins every query's materialized handle stream to the solo path's
-//!   exact id sequence;
-//! * **count** — `query_batch_merge` with `CountSink` forks: the pure
-//!   cost of the sharded level walks, no result copying at all;
-//! * **pool** — the same batch through the persistent shard-worker
-//!   pool (`ShardPool::query_batch_merge`): every sub-batch takes a
-//!   channel round-trip to its shard's owning worker.
+//!   route and the shape the wire server drives (its `WireSink` encodes
+//!   frames straight from the arena slices). An untimed in-run
+//!   differential pins every query's materialized handle stream to the
+//!   index's solo id sequence;
+//! * **count** — the index's `query_batch_merge` with `CountSink`s: the
+//!   pure cost of the sharded level walks, no result copying at all;
+//! * **pool** — the pool's `query_batch_merge` with collecting `Vec`
+//!   forks: every sub-batch takes a channel round-trip to its shard's
+//!   owning worker.
 //!
 //! A separate table measures **batched ingest**: a burst of time-ordered
 //! appends (landing at the top of the domain, as streaming interval data
@@ -35,10 +36,9 @@
 //! shard is free, so the reseal — the dominant cost — touches `n/K`
 //! entries instead of `n`: ingest throughput scales near-linearly with
 //! the shard count, on any hardware, with no thread parallelism
-//! involved. This is the sharded executor's headline single-core win;
-//! on multi-core hardware the query columns additionally scale through
-//! the thread fan-out (cap with `HINT_SHARD_THREADS`), and per-shard
-//! hierarchies are `log2 K` levels shallower at the same
+//! involved. This is sharding's headline single-core win; on multi-core
+//! hardware the pooled columns additionally scale through the workers,
+//! and per-shard hierarchies are `log2 K` levels shallower at the same
 //! bottom-partition width (`m_shard = m - log2 K`) so walk-bound query
 //! batches lean out as K grows.
 //!
@@ -120,14 +120,15 @@ fn workloads(cfg: &RunConfig) -> Vec<Dataset> {
 
 /// Runs the experiment and writes `BENCH_shardscale.json`.
 pub fn run(cfg: &RunConfig) {
-    println!("== Shard scaling: parallel batch executor over sealed HINT^m (K = 1/2/4/8) ==");
+    println!("== Shard scaling: batched reads over sealed HINT^m (K = 1/2/4/8) ==");
     let mut rows = String::new();
     let mut builds = String::new();
     let mut ingests = String::new();
-    // CI smoke gate (HINT_READPATH_GATE=1): the merged read path must
-    // hold at least 80% of solo throughput at K=4 on every row, or the
-    // run exits nonzero — the regression tripwire for the batch
-    // planner / tiled walk / zero-copy merge path. The margin is real
+    // CI smoke gate (HINT_READPATH_GATE=1): the merged read path (the
+    // pool's handle fork/merge, the route the server drives) must hold
+    // at least 80% of solo throughput at K=4 on every row, or the run
+    // exits nonzero — the regression tripwire for the batch planner /
+    // tiled walk / zero-copy merge path. The margin is real
     // on both workloads: short-interval TAXIS rides the planner and
     // tiled walk, and SYNTH's centre-heavy Zipfian shape (thousands of
     // ids per query) rides the handle path that keeps those ids from
@@ -267,7 +268,7 @@ pub fn run(cfg: &RunConfig) {
             for (k, sharded, pool) in &indexes {
                 let solo = best_of(|| query_throughput(sharded, queries.queries()));
                 let batch = best_of(|| batch_throughput(sharded, queries.queries(), BATCH));
-                let merge = best_of(|| merge_handle_throughput(sharded, queries.queries(), BATCH));
+                let merge = best_of(|| merge_handle_throughput(pool, queries.queries(), BATCH));
                 let count = best_of(|| merge_count_throughput(sharded, queries.queries(), BATCH));
                 let pooled = best_of(|| pool_batch_throughput(pool, queries.queries(), BATCH));
                 assert_eq!(
@@ -282,7 +283,7 @@ pub fn run(cfg: &RunConfig) {
                 );
                 // untimed: the handle streams must materialize to the
                 // exact per-query id sequences the solo path produces
-                assert_handle_merge_matches_solo(sharded, queries.queries(), BATCH);
+                assert_handle_merge_matches_solo(pool, sharded, queries.queries(), BATCH);
                 assert_eq!(
                     solo.results, count.results,
                     "{} K={k}: count diverged",
@@ -359,7 +360,7 @@ pub fn run(cfg: &RunConfig) {
     }
     let json = format!(
         "{{\n  \"experiment\": \"shardscale\",\n  \"workload\": \"enumerate + count, solo vs \
-         batched, sharded executor\",\n  \"config\": {{\"scale_mul\": {}, \"queries\": {}, \
+         batched, sharded index and worker pool\",\n  \"config\": {{\"scale_mul\": {}, \"queries\": {}, \
          \"max_m\": {}, \"seed\": {}, \"batch\": {}, \"repeats\": {}}},\n  \
          \"builds\": [{}\n  ],\n  \"ingest\": [{}\n  ],\n  \"rows\": [{}\n  ]\n}}\n",
         cfg.scale_mul, cfg.queries, cfg.max_m, cfg.seed, BATCH, REPEATS, builds, ingests, rows

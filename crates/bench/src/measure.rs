@@ -136,7 +136,7 @@ pub fn batch_count_throughput<I: IntervalIndex + ?Sized>(
 /// The shared batched-enumeration timing loop: drives `queries` through
 /// `run(chunk, bufs)` in windows of `batch` collecting-`Vec` sinks
 /// (reused across windows), totalling results. Every batched
-/// enumeration measurement — scoped executor, worker pool, a served
+/// enumeration measurement — inline walk, worker pool, a served
 /// session — is this loop with a different `run`.
 pub fn batched_throughput_with(
     queries: &[RangeQuery],
@@ -162,11 +162,11 @@ pub fn batched_throughput_with(
     }
 }
 
-/// Batched-query throughput through the sharded executor's **typed
-/// merge path** (`ShardedIndex::query_batch_merge`): queries run in
-/// chunks of `batch`, one collecting `Vec` fork per (query, shard) pair,
-/// merged back saturation-aware in shard order.
-pub fn merge_batch_throughput<I: IntervalIndex + Sync>(
+/// Batched-query throughput through the sharded index's **inline typed
+/// path** (`ShardedIndex::query_batch_merge`): queries run in chunks of
+/// `batch`, each shard's sub-batch drained straight into the collecting
+/// `Vec` sinks in shard order on the calling thread.
+pub fn merge_batch_throughput<I: IntervalIndex>(
     index: &hint_core::ShardedIndex<I>,
     queries: &[RangeQuery],
     batch: usize,
@@ -176,17 +176,17 @@ pub fn merge_batch_throughput<I: IntervalIndex + Sync>(
     })
 }
 
-/// Batched-query throughput through the typed merge path with
-/// **zero-copy [`HandleSink`](hint_core::HandleSink) forks**: the read
-/// path as the wire server drives it. Comparison-free runs cross the
-/// fork/merge boundary as arena-slice handles (O(1) per run), the merge
-/// concatenates run lists in shard order (O(runs), not O(ids)), and
-/// nothing is materialized — the consumer encodes frames straight from
-/// the arena slices (`serve`'s `WireSink`). Use
+/// Batched-query throughput through the shard-worker pool's typed
+/// merge path with **zero-copy [`HandleSink`](hint_core::HandleSink)
+/// forks**: the read path as the wire server drives it. Comparison-free
+/// runs cross the fork/merge boundary as arena-slice handles (O(1) per
+/// run), the merge concatenates run lists in shard order (O(runs), not
+/// O(ids)), and nothing is materialized — the consumer encodes frames
+/// straight from the arena slices (`serve`'s `WireSink`). Use
 /// [`assert_handle_merge_matches_solo`] to pin the stream's content to
 /// the solo path's, id for id.
-pub fn merge_handle_throughput<I: IntervalIndex + Sync>(
-    index: &hint_core::ShardedIndex<I>,
+pub fn merge_handle_throughput<I: IntervalIndex + Send + 'static>(
+    pool: &hint_core::ShardPool<I>,
     queries: &[RangeQuery],
     batch: usize,
 ) -> Throughput {
@@ -200,7 +200,7 @@ pub fn merge_handle_throughput<I: IntervalIndex + Sync>(
         for s in sinks.iter_mut() {
             s.clear();
         }
-        index.query_batch_merge(chunk, sinks);
+        pool.query_batch_merge(chunk, sinks);
         results += sinks.iter().map(|s| s.len() as u64).sum::<u64>();
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -211,10 +211,12 @@ pub fn merge_handle_throughput<I: IntervalIndex + Sync>(
 }
 
 /// Untimed differential for the zero-copy merge path: every query's
-/// [`HandleSink`](hint_core::HandleSink) stream, materialized, must be
-/// the exact id sequence the solo `query` path produces. Panics on the
-/// first divergence.
-pub fn assert_handle_merge_matches_solo<I: IntervalIndex + Sync>(
+/// [`HandleSink`](hint_core::HandleSink) stream forked and merged by
+/// `pool`, materialized, must be the exact id sequence the solo `query`
+/// path of `index` (the index the pool was built from) produces. Panics
+/// on the first divergence.
+pub fn assert_handle_merge_matches_solo<I: IntervalIndex + Send + 'static>(
+    pool: &hint_core::ShardPool<I>,
     index: &hint_core::ShardedIndex<I>,
     queries: &[RangeQuery],
     batch: usize,
@@ -223,7 +225,7 @@ pub fn assert_handle_merge_matches_solo<I: IntervalIndex + Sync>(
     let mut solo: Vec<IntervalId> = Vec::new();
     for chunk in queries.chunks(batch.max(1)) {
         let mut sinks: Vec<HandleSink> = vec![HandleSink::new(); chunk.len()];
-        index.query_batch_merge(chunk, &mut sinks);
+        pool.query_batch_merge(chunk, &mut sinks);
         for (q, sink) in chunk.iter().zip(sinks) {
             solo.clear();
             index.query(*q, &mut solo);
@@ -236,10 +238,10 @@ pub fn assert_handle_merge_matches_solo<I: IntervalIndex + Sync>(
     }
 }
 
-/// Count-only throughput through the sharded executor's typed merge
-/// path: one `CountSink` fork per (query, shard) pair, so no result
-/// vector is ever written on either side of the merge boundary.
-pub fn merge_count_throughput<I: IntervalIndex + Sync>(
+/// Count-only throughput through the sharded index's inline typed path:
+/// `CountSink`s drained shard by shard, so no result vector is ever
+/// written.
+pub fn merge_count_throughput<I: IntervalIndex>(
     index: &hint_core::ShardedIndex<I>,
     queries: &[RangeQuery],
     batch: usize,
@@ -262,27 +264,10 @@ pub fn merge_count_throughput<I: IntervalIndex + Sync>(
     }
 }
 
-/// Batched-query throughput through a **scoped fan-out with a forced
-/// worker count** (`ShardedIndex::query_batch_merge_workers`): the PR 3
-/// executor as it runs on multi-core hardware — one thread *spawned per
-/// batch* per active shard — measured at `workers` regardless of the
-/// machine's parallelism, so the per-batch spawn cost it pays is visible
-/// next to the persistent pool's dispatch on any host.
-pub fn scoped_batch_throughput<I: IntervalIndex + Sync>(
-    index: &hint_core::ShardedIndex<I>,
-    queries: &[RangeQuery],
-    batch: usize,
-    workers: usize,
-) -> Throughput {
-    batched_throughput_with(queries, batch, |chunk, bufs| {
-        index.query_batch_merge_workers(chunk, bufs, workers)
-    })
-}
-
 /// Batched-query throughput through the persistent shard-worker pool
-/// (`ShardPool::query_batch_merge`): same fork/merge semantics as the
-/// scoped path, but dispatched over channels to the long-lived,
-/// shard-owning workers — zero per-batch thread spawns.
+/// (`ShardPool::query_batch_merge`): per-shard `Vec` forks dispatched
+/// over channels to the long-lived, shard-owning workers and merged back
+/// in shard order — zero per-batch thread spawns.
 pub fn pool_batch_throughput<I: IntervalIndex + Send + 'static>(
     pool: &hint_core::ShardPool<I>,
     queries: &[RangeQuery],

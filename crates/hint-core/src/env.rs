@@ -1,9 +1,9 @@
 //! Hardened environment-variable parsing for the workspace's tuning
-//! knobs (`HINT_SHARD_THREADS`, the `HINT_SERVE_*` family).
+//! knobs (`HINT_SHARD_PIN`, the `HINT_SERVE_*` family).
 //!
 //! Before this module, an unparsable knob silently fell back to its
-//! default — a deployment that exported `HINT_SHARD_THREADS=four` got
-//! machine-default parallelism and no hint why. Every knob now goes
+//! default — a deployment that exported `HINT_SERVE_MAX_BATCH=four` got
+//! the default batch window and no hint why. Every knob now goes
 //! through [`parse`] (pure, unit-testable) and [`var_or`] (reads the
 //! process environment, warns **once per variable** on stderr when the
 //! value is rejected, then falls back), so a garbled knob is tolerated

@@ -680,7 +680,7 @@ impl SealedStore {
     /// receives exactly its own per-level emissions, so the visiting
     /// order within a level is a cache-locality concern only.
     ///
-    /// Generic over the sink type: the sharded executor instantiates
+    /// Generic over the sink type: the sharded read routes instantiate
     /// this per concrete sink, eliminating the per-emission vtable hop
     /// the `dyn` spelling pays. `presorted` says the caller already
     /// ordered the batch by query start (the batch-clustering planning

@@ -361,7 +361,7 @@ impl HintMSubs {
     /// regime dispatch, saturation polls, emissions, the zero-copy
     /// `wants_arenas` check — compiles with no per-result vtable call.
     /// `presorted` declares the caller already ordered the batch by query
-    /// start (the executor's clustering pass), skipping the sealed walk's
+    /// start (the sharded planning pass), skipping the sealed walk's
     /// own locality sort; it never affects results.
     ///
     /// # Panics

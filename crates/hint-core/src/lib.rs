@@ -120,7 +120,6 @@ pub mod concurrent;
 pub mod cost_model;
 pub mod domain;
 pub mod env;
-pub mod executor;
 pub mod hint_cf;
 pub mod hintm;
 pub mod interval;
@@ -230,9 +229,9 @@ pub trait IntervalIndex {
     /// monomorphization parameter, so indexes that override it (the
     /// sealed HINT^m walk) run their whole batch loop — level walk,
     /// regime dispatch, saturation polls, emissions — without a vtable
-    /// call per result. This is the sharded executor's entry point: the
-    /// merge path instantiates it per concrete sink type and the
-    /// comparison-free regimes const-fold their zero-copy
+    /// call per result. This is the sharded read routes' entry point:
+    /// each shard's sub-batch instantiates it per concrete sink type, and
+    /// the comparison-free regimes const-fold their zero-copy
     /// [`QuerySink::wants_arenas`] check away.
     ///
     /// `presorted` declares that the caller already ordered

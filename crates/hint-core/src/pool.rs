@@ -1,16 +1,17 @@
 //! Persistent shard-worker pool: one long-lived thread per shard,
 //! optionally pinned to a core, each **owning** its shard outright.
 //!
-//! The scoped executor in [`crate::executor`] spawns one thread per
-//! active shard *per batch* — correct, but every batch pays thread
-//! creation and teardown, and a shard's sealed arenas are touched by
-//! whichever OS thread happened to pick it up. [`ShardPool`] inverts the
-//! ownership: [`ShardPool::new`] moves each [`ShardedIndex`] shard into
-//! a dedicated worker thread that lives for the pool's lifetime, and
-//! batches are *dispatched* to the workers over channels as boxed task
-//! closures — zero per-batch spawns, and every shard's arenas are only
-//! ever walked (and mutated) by the one thread that owns them, which
-//! keeps them hot in that core's cache. With `HINT_SHARD_PIN=1` each
+//! [`ShardPool`] is the workspace's one parallel read route: the only
+//! code that forks per-shard sinks, runs them on several threads and
+//! merges them back. A [`ShardedIndex`] on its own drains a batch shard
+//! by shard on the calling thread. [`ShardPool::new`] moves each shard
+//! into a dedicated worker thread that lives for the pool's lifetime,
+//! and batches are *dispatched* to the workers over channels as boxed
+//! task closures — zero per-batch spawns, and every shard's arenas are
+//! only ever walked (and mutated) by the one thread that owns them,
+//! which keeps them hot in that core's cache. Routing and the per-shard
+//! walks and write legs are the same code the index itself runs
+//! ([`crate::shard`]). With `HINT_SHARD_PIN=1` each
 //! worker additionally pins itself to core `worker_index mod cores`
 //! (best-effort via `taskset(1)` on Linux — the crate forbids `unsafe`,
 //! so the `sched_setaffinity` syscall is reached through the userland
@@ -22,8 +23,7 @@
 //!   sub-batches are dispatched to every active shard at once and the
 //!   returned forks are merged on the calling thread in ascending shard
 //!   order — bit-identical to the sequential
-//!   [`ShardedIndex::query_sink`] loop, exactly like the scoped
-//!   executor.
+//!   [`ShardedIndex::query_sink`] loop.
 //! * **Bounded sinks** ([`crate::FirstK`], [`crate::ExistsSink`];
 //!   [`MergeableSink::is_bounded`]): dispatch is *staged* in shard
 //!   order, and a query whose sink is already saturated is not sent to
@@ -48,9 +48,8 @@
 //! of the shard and writes need no republication: per-worker FIFO alone
 //! gives read-your-writes.
 
-use crate::executor::{cluster_plan, Routed};
 use crate::interval::{Interval, IntervalId, RangeQuery, Time};
-use crate::shard::{MutableIndex, Shard, ShardedIndex};
+use crate::shard::{MutableIndex, Routed, Router, Shard, ShardedIndex};
 use crate::sink::{MergeableSink, QuerySink};
 use crate::stats::ExtentMix;
 use crate::IntervalIndex;
@@ -92,10 +91,6 @@ impl std::error::Error for PoolError {}
 /// A unit of work dispatched to a shard worker. The closure runs on the
 /// worker thread with exclusive access to the shard it owns.
 type Task<I> = Box<dyn FnOnce(&mut Shard<I>) + Send + 'static>;
-
-/// One shard's collected sub-batch results: `(query index, ids)` pairs
-/// in sub-batch order.
-type CollectedSub = Vec<(u32, Vec<IntervalId>)>;
 
 /// One worker: its task channel and join handle. Dropping the sender
 /// ends the worker's receive loop; joining returns the shard.
@@ -166,9 +161,8 @@ fn pin_current_thread(_worker: usize) {}
 /// index is [`MutableIndex`].
 pub struct ShardPool<I> {
     workers: Vec<Worker<I>>,
-    /// Inclusive `[start, end]` domain range of each shard, ascending —
-    /// the routing metadata mirrored out of the moved shards.
-    bounds: Vec<(Time, Time)>,
+    /// The routing table mirrored out of the moved shards.
+    router: Router,
     /// Live (deduplicated) interval count, maintained by the write path.
     live: usize,
     counters: PoolCounters,
@@ -188,7 +182,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     pub fn new(index: ShardedIndex<I>) -> Self {
         let (shards, live) = index.into_parts();
         let pin = pinning_enabled();
-        let bounds: Vec<(Time, Time)> = shards.iter().map(|s| (s.start, s.end)).collect();
+        let router = Router::of(&shards);
         let task_panics = Arc::new(AtomicU64::new(0));
         let workers = shards
             .into_iter()
@@ -197,7 +191,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             .collect();
         Self {
             workers,
-            bounds,
+            router,
             live,
             counters: PoolCounters::default(),
             task_panics,
@@ -264,12 +258,17 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
 
     /// The inclusive domain range `[start, end]` of each shard, in order.
     pub fn shard_bounds(&self) -> &[(Time, Time)] {
-        &self.bounds
+        self.router.bounds()
     }
 
     /// Inclusive domain bounds `[min, max]` across all shards.
     pub fn domain(&self) -> (Time, Time) {
-        (self.bounds[0].0, self.bounds[self.bounds.len() - 1].1)
+        self.router.domain()
+    }
+
+    /// The routing table the pool dispatches by.
+    pub(crate) fn router(&self) -> &Router {
+        &self.router
     }
 
     /// Number of live intervals.
@@ -370,48 +369,26 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         }
     }
 
-    /// Index of the shard owning domain point `t` (clamped).
-    #[inline]
-    fn shard_of(&self, t: Time) -> usize {
-        self.bounds
-            .partition_point(|&(start, _)| start <= t)
-            .saturating_sub(1)
-    }
-
-    /// The contiguous run of shards a query's range overlaps.
-    #[inline]
-    pub(crate) fn route(&self, q: RangeQuery) -> (usize, usize) {
-        (self.shard_of(q.st), self.shard_of(q.end))
-    }
-
-    /// The shard-local sub-query for shard `j` (interior boundaries
-    /// clipped to the shard range, the query's own endpoints kept on the
-    /// first/last routed shard) — same rule as
-    /// [`ShardedIndex::local_query`].
-    #[inline]
-    pub(crate) fn local_query(&self, j: usize, q: RangeQuery, lo: usize, hi: usize) -> RangeQuery {
-        let st = if j == lo { q.st } else { self.bounds[j].0 };
-        let end = if j == hi { q.end } else { self.bounds[j].1 };
-        RangeQuery { st, end }
-    }
-
-    /// Routes a batch into `bufs`, reusing their allocations: one
-    /// sub-batch per shard, each then sorted by local query start once
-    /// — the plan is built (and ordered) a single time and reused by
-    /// every routed shard.
-    fn plan_into(&self, queries: &[RangeQuery], bufs: &mut Vec<Vec<Routed>>) {
-        bufs.resize_with(self.bounds.len(), Vec::new);
-        for sub in bufs.iter_mut() {
-            sub.clear();
-        }
-        for (qi, &q) in queries.iter().enumerate() {
-            let (lo, hi) = self.route(q);
-            for (j, sub) in bufs[lo..=hi].iter_mut().enumerate() {
-                let j = lo + j;
-                sub.push((qi as u32, self.local_query(j, q, lo, hi), j == lo));
-            }
-        }
-        cluster_plan(bufs);
+    /// Routes and clusters a batch, then hands the plan to `run`. The
+    /// plan lives in pooled per-shard buffers, reused across batches so
+    /// steady dispatch allocates no plan `Vec`s at all (a concurrent
+    /// batch that loses the `try_lock` race plans into a fresh local
+    /// buffer instead of waiting). Counts the batch and its routed
+    /// entries.
+    fn planned<R>(&self, queries: &[RangeQuery], run: impl FnOnce(&[Vec<Routed>]) -> R) -> R {
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        let mut local: Vec<Vec<Routed>> = Vec::new();
+        let mut guard = self.scratch.try_lock().ok();
+        let plan: &mut Vec<Vec<Routed>> = match guard.as_deref_mut() {
+            Some(g) => g,
+            None => &mut local,
+        };
+        self.router.plan_into(queries, plan);
+        let routed: usize = plan.iter().map(Vec::len).sum();
+        self.counters
+            .routed
+            .fetch_add(routed as u64, Ordering::Relaxed);
+        run(plan)
     }
 
     /// Evaluates a batch of queries through the worker pool, one
@@ -496,23 +473,16 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         if queries.is_empty() {
             return Ok(());
         }
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let mut local: Vec<Vec<Routed>> = Vec::new();
-        let mut guard = self.scratch.try_lock().ok();
-        let bufs: &mut Vec<Vec<Routed>> = match guard.as_deref_mut() {
-            Some(g) => g,
-            None => &mut local,
-        };
-        self.plan_into(queries, bufs);
-        let routed: usize = bufs.iter().map(Vec::len).sum();
-        self.counters
-            .routed
-            .fetch_add(routed as u64, Ordering::Relaxed);
-        if sinks.iter().all(|s| s.is_bounded()) {
-            self.run_staged(bufs, sinks, hints)
-        } else {
-            self.run_fanned(bufs, sinks, hints)
-        }
+        self.planned(queries, |plan| {
+            if sinks.iter().all(|s| s.is_bounded()) {
+                return self.run_staged(plan, sinks, hints);
+            }
+            let forked = self.fan_out(plan, |qi| Self::fork_for(sinks, hints, qi))?;
+            for (qi, fork) in forked.into_iter().flatten() {
+                sinks[qi as usize].merge(fork);
+            }
+            Ok(())
+        })
     }
 
     /// The fork for batch entry `qi`: histogram-presized when the caller
@@ -525,28 +495,27 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         }
     }
 
-    /// Parallel dispatch: every active shard gets its sub-batch at once;
-    /// forks are merged back in shard order as the workers finish. One
-    /// reply channel serves the whole batch — workers tag replies with
-    /// their shard index and the merge loop restores shard order.
-    fn run_fanned<S>(
+    /// Parallel dispatch: every active shard gets its sub-batch at once,
+    /// entry `qi` carrying the fork `fork(qi)`, and the filled forks come
+    /// back per shard, in ascending shard order, tagged with their query
+    /// positions — the caller merges them in that order. One reply
+    /// channel serves the whole batch; workers tag replies with their
+    /// shard index and [`collect_tagged`](Self::collect_tagged) restores
+    /// shard order.
+    fn fan_out<F: QuerySink + Send + 'static>(
         &self,
         plan: &[Vec<Routed>],
-        sinks: &mut [S],
-        hints: Option<&[usize]>,
-    ) -> Result<(), PoolError>
-    where
-        S: MergeableSink + Send + 'static,
-    {
+        mut fork: impl FnMut(usize) -> F,
+    ) -> Result<Vec<Vec<(u32, F)>>, PoolError> {
         let (tx, rx) = unbounded();
         let mut dispatched = Vec::new();
         for (j, sub) in plan.iter().enumerate() {
             if sub.is_empty() {
                 continue;
             }
-            let job: Vec<(Routed, S)> = sub
+            let job: Vec<(Routed, F)> = sub
                 .iter()
-                .map(|&entry| (entry, Self::fork_for(sinks, hints, entry.0 as usize)))
+                .map(|&entry| (entry, fork(entry.0 as usize)))
                 .collect();
             self.counters
                 .dispatched
@@ -561,12 +530,10 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             dispatched.push(j);
         }
         drop(tx);
-        for (_, results) in Self::collect_tagged(&rx, &dispatched)? {
-            for (qi, fork) in results {
-                sinks[qi as usize].merge(fork);
-            }
-        }
-        Ok(())
+        Ok(Self::collect_tagged(&rx, &dispatched)?
+            .into_iter()
+            .map(|(_, forks)| forks)
+            .collect())
     }
 
     /// Staged dispatch for bounded sinks: shards are visited in
@@ -616,9 +583,9 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     }
 
     /// Evaluates a batch through trait-level `dyn` sinks: workers
-    /// collect into thread-local buffers, merged back in shard order via
-    /// [`QuerySink::emit_slice`] (saturated sinks stop receiving at the
-    /// merge, as in the scoped executor's dyn path).
+    /// collect into `Vec<IntervalId>` forks, merged back in shard order
+    /// via [`QuerySink::emit_slice`] (saturated sinks stop receiving at
+    /// the merge).
     fn query_batch_dyn(&self, queries: &[RangeQuery], sinks: &mut [&mut dyn QuerySink]) {
         self.try_query_batch_dyn(queries, sinks)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -640,44 +607,13 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         if queries.is_empty() {
             return Ok(());
         }
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let mut local: Vec<Vec<Routed>> = Vec::new();
-        let mut guard = self.scratch.try_lock().ok();
-        let bufs: &mut Vec<Vec<Routed>> = match guard.as_deref_mut() {
-            Some(g) => g,
-            None => &mut local,
-        };
-        self.plan_into(queries, bufs);
-        let (tx, rx) = unbounded();
-        let mut dispatched = Vec::new();
-        for (j, sub) in bufs.iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            self.counters
-                .routed
-                .fetch_add(sub.len() as u64, Ordering::Relaxed);
-            self.counters
-                .dispatched
-                .fetch_add(sub.len() as u64, Ordering::Relaxed);
-            let sub = sub.clone();
-            let tx = tx.clone();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send((j, shard.run_collect(&sub)));
-                }),
-            )?;
-            dispatched.push(j);
-        }
-        drop(tx);
-        let done: Vec<(usize, CollectedSub)> = Self::collect_tagged(&rx, &dispatched)?;
-        for (_, results) in done {
-            for (qi, ids) in results {
-                let sink = &mut *sinks[qi as usize];
-                if !sink.is_saturated() {
-                    sink.emit_slice(&ids);
-                }
+        let forked = self.planned(queries, |plan| {
+            self.fan_out(plan, |_| Vec::<IntervalId>::new())
+        })?;
+        for (qi, ids) in forked.into_iter().flatten() {
+            let sink = &mut *sinks[qi as usize];
+            if !sink.is_saturated() {
+                sink.emit_slice(&ids);
             }
         }
         Ok(())
@@ -700,7 +636,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         q: RangeQuery,
         sink: &mut S,
     ) -> Result<(), PoolError> {
-        let (lo, hi) = self.route(q);
+        let (lo, hi) = self.router.route(q);
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .routed
@@ -713,12 +649,12 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
                 return Ok(());
             }
             self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
-            let entry: Routed = (0, self.local_query(j, q, lo, hi), j == lo);
+            let entry: Routed = (0, self.router.local_query(j, q, lo, hi), j == lo);
             let (tx, rx) = unbounded();
             self.try_send(
                 j,
                 Box::new(move |shard| {
-                    let _ = tx.send(shard.run_collect(&[entry]));
+                    let _ = tx.send(shard.run_forks(vec![(entry, Vec::<IntervalId>::new())]));
                 }),
             )?;
             for (_, ids) in rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })? {
@@ -848,27 +784,11 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
     /// Panics if the interval falls outside the pooled domain — the same
     /// contract as [`ShardedIndex::insert`].
     pub fn try_insert(&mut self, s: Interval) -> Result<(), PoolError> {
-        let (min, max) = self.domain();
-        assert!(
-            s.st >= min && s.end <= max,
-            "interval [{}, {}] outside the sharded domain [{min}, {max}]",
-            s.st,
-            s.end,
-        );
-        let (lo, hi) = (self.shard_of(s.st), self.shard_of(s.end));
+        let (lo, hi) = self.router.route_insert(&s);
         // fire-and-forget: per-worker FIFO orders the write before any
         // later read of the same shard
         for j in lo..=hi {
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let clipped = shard.clip(&s);
-                    shard.index.insert(clipped);
-                    if s.st < shard.start {
-                        shard.replicas.insert(s.id);
-                    }
-                }),
-            )?;
+            self.try_send(j, Box::new(move |shard| shard.insert_leg(s)))?;
         }
         self.live += 1;
         Ok(())
@@ -887,22 +807,16 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
     /// whether the delete applied (the owning shard arbitrates, and its
     /// reply is what went missing); the live count is left untouched.
     pub fn try_delete(&mut self, s: &Interval) -> Result<bool, PoolError> {
-        let (min, max) = self.domain();
-        if s.st < min || s.end > max {
-            return Ok(false); // out-of-domain intervals were never inserted
-        }
-        let (lo, hi) = (self.shard_of(s.st), self.shard_of(s.end));
+        // out-of-domain intervals were never inserted
+        let Some((lo, hi)) = self.router.route_write(s) else {
+            return Ok(false);
+        };
         let s = *s;
         let (tx, rx) = unbounded();
         self.try_send(
             lo,
             Box::new(move |shard| {
-                let clipped = shard.clip(&s);
-                let found = shard.index.delete(&clipped);
-                if found {
-                    shard.replicas.remove(&s.id);
-                }
-                let _ = tx.send(found);
+                let _ = tx.send(shard.delete_leg(&s));
             }),
         )?;
         if !rx.recv().map_err(|_| PoolError::WorkerDied { shard: lo })? {
@@ -912,10 +826,7 @@ impl<I: MutableIndex + Send + 'static> ShardPool<I> {
             self.try_send(
                 j,
                 Box::new(move |shard| {
-                    let clipped = shard.clip(&s);
-                    if shard.index.delete(&clipped) {
-                        shard.replicas.remove(&s.id);
-                    }
+                    shard.delete_leg(&s);
                 }),
             )?;
         }

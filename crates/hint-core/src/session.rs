@@ -7,8 +7,8 @@
 //! ([`crate::cost_model::retuned_m`]).
 //!
 //! A network front-end (see the workspace's `serve` crate) needs a
-//! single object that (a) answers query batches through the pooled
-//! executor, (b) applies writes without panicking on client-supplied
+//! single object that (a) answers query batches through the shard-worker
+//! pool, (b) applies writes without panicking on client-supplied
 //! garbage — an out-of-domain insert from the wire must become an error
 //! reply, not a server crash — and (c) knows whether any writes have
 //! landed since the last seal, so a `Seal` request on a clean index is
@@ -170,7 +170,7 @@ impl std::fmt::Display for WriteError {
 /// assert_eq!(session.len(), 101);
 /// assert!(session.pool().exists(RangeQuery::new(40, 90)));
 /// ```
-pub struct Session<I: MutableIndex + Send + Sync + 'static> {
+pub struct Session<I: MutableIndex + Send + 'static> {
     pool: ShardPool<I>,
     /// Writes applied since the last seal; the serving layer's "was
     /// there anything to do" answer.
@@ -184,7 +184,7 @@ pub struct Session<I: MutableIndex + Send + Sync + 'static> {
     events: Vec<RetuneEvent>,
 }
 
-impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
+impl<I: MutableIndex + Send + 'static> Session<I> {
     /// Wraps (and seals) a sharded index, moving its shards into a
     /// persistent [`ShardPool`]. Sealing up front puts every shard in
     /// the read-optimized columnar layout before the first query
@@ -274,9 +274,10 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// Records the shard-local extents a query contributes to each
     /// routed shard's histogram.
     fn observe(&self, q: RangeQuery) {
-        let (lo, hi) = self.pool.route(q);
+        let router = self.pool.router();
+        let (lo, hi) = router.route(q);
         for j in lo..=hi {
-            let lq = self.pool.local_query(j, q, lo, hi);
+            let lq = router.local_query(j, q, lo, hi);
             self.mixes[j].record(lq.end - lq.st);
         }
     }
@@ -288,14 +289,13 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         if s.id == TOMBSTONE {
             return Err(WriteError::ReservedId);
         }
-        let domain = self.domain();
-        if s.st < domain.0 || s.end > domain.1 {
-            return Err(WriteError::OutOfDomain { domain });
-        }
-        let (lo, hi) = self.pool.route(RangeQuery {
-            st: s.st,
-            end: s.end,
-        });
+        let (lo, hi) = self
+            .pool
+            .router()
+            .route_write(&s)
+            .ok_or(WriteError::OutOfDomain {
+                domain: self.domain(),
+            })?;
         self.pool.insert(s);
         self.dirty_shards.extend(lo..=hi);
         self.dirty = true;
@@ -309,7 +309,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     pub fn delete(&mut self, s: &Interval) -> bool {
         let found = self.pool.delete(s);
         if found {
-            let (lo, hi) = self.pool.route(RangeQuery {
+            let (lo, hi) = self.pool.router().route(RangeQuery {
                 st: s.st,
                 end: s.end,
             });
@@ -362,7 +362,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     }
 }
 
-impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
+impl<I: MutableIndex + Send + 'static> Session<I> {
     /// Evaluates a batch of queries through the shard-worker pool's
     /// typed merge path, one [`MergeableSink`] per query (see
     /// [`ShardPool::query_batch_merge`]), recording each query's
@@ -389,7 +389,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         let mut hints: Vec<usize> = Vec::new();
         let mut any = false;
         for &q in queries {
-            let (lo, _) = self.pool.route(q);
+            let (lo, _) = self.pool.router().route(q);
             match self.mixes[lo].expected_results(q.end - q.st) {
                 Some(n) => {
                     any = true;
@@ -402,7 +402,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         self.pool.query_batch_merge_hinted(queries, sinks, hints);
         for (&q, sink) in queries.iter().zip(sinks.iter()) {
             if let Some(n) = sink.result_count() {
-                let (lo, _) = self.pool.route(q);
+                let (lo, _) = self.pool.router().route(q);
                 self.mixes[lo].record_results(q.end - q.st, n);
             }
         }

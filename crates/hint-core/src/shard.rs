@@ -21,11 +21,14 @@
 //! result-set intersection and no post-hoc dedup pass.
 //!
 //! Queries route through [`ShardedIndex::query_sink`] (sequential, shard
-//! order) or the batched executor in [`crate::executor`], which fans a
-//! whole batch out across shards with one thread per shard and merges the
-//! per-shard results back into the callers' sinks ([`MergeableSink`]).
-//! Writes route to exactly the shards whose ranges the new interval
-//! overlaps ([`MutableIndex`]).
+//! order) or the batch path ([`ShardedIndex::query_batch`],
+//! [`ShardedIndex::query_batch_merge`]), which routes a whole batch once
+//! and drains each shard's sub-batch into the callers' sinks, in shard
+//! order, on the calling thread. Fanning a batch out across threads is
+//! [`crate::ShardPool`]'s job; both routes share this module's routing
+//! rules (`Router`) and per-shard walks and write legs. Writes route to
+//! exactly the shards whose ranges the new interval overlaps
+//! ([`MutableIndex`]).
 //!
 //! ```
 //! use hint_core::{Hint, Interval, IntervalIndex, RangeQuery, ShardedIndex};
@@ -281,6 +284,205 @@ impl<I: IntervalIndex> Shard<I> {
         };
         self.index.query_sink(lq, &mut filter);
     }
+
+    /// Walks a routed sub-batch, entry `i` into `sinks[i]`, as one shared
+    /// inner batch call, so sealed inner indexes amortize one level walk
+    /// across the sub-batch. Every sub-batch was ordered by the planning
+    /// pass, so the inner walk is told it is presorted. Replicas are
+    /// suppressed for entries that are not their query's first shard;
+    /// when nothing can need suppressing — the shard holds no replicas,
+    /// or every entry is its query's first shard — the filter wrapper is
+    /// pure overhead on the emit path and is skipped.
+    fn walk<S: QuerySink>(&self, sub: &[Routed], mut sinks: Vec<&mut S>) {
+        let queries: Vec<RangeQuery> = sub.iter().map(|e| e.1).collect();
+        if self.replicas.is_empty() || sub.iter().all(|e| e.2) {
+            return self.index.query_batch_sinks(&queries, &mut sinks, true);
+        }
+        let mut wrappers: Vec<FilterSink<'_, S>> = sinks
+            .into_iter()
+            .zip(sub)
+            .map(|(inner, &(_, _, is_first))| FilterSink {
+                inner,
+                replicas: (!is_first).then_some(&self.replicas),
+            })
+            .collect();
+        let mut refs: Vec<&mut FilterSink<'_, S>> = wrappers.iter_mut().collect();
+        self.index.query_batch_sinks(&queries, &mut refs, true);
+    }
+
+    /// The inline route: drains a routed sub-batch straight into the
+    /// callers' sinks (`sinks` is the whole batch, indexed by each
+    /// entry's query position). Entries may arrive in any order (the
+    /// clustering pass reorders them), so each entry *takes* its sink
+    /// out of a per-query slot — a sub-batch never repeats a query, so
+    /// every take succeeds.
+    pub(crate) fn run_inline<S: QuerySink>(&self, sub: &[Routed], sinks: &mut [S]) {
+        let mut slots: Vec<Option<&mut S>> = sinks.iter_mut().map(Some).collect();
+        let picked = sub
+            .iter()
+            .map(|&(qi, _, _)| {
+                slots[qi as usize]
+                    .take()
+                    .expect("sub-batch repeats a query")
+            })
+            .collect();
+        self.walk(sub, picked);
+    }
+
+    /// The worker route ([`crate::ShardPool`]): drains a routed sub-batch
+    /// into the sink forks it carries and hands them back tagged with
+    /// their query positions. Fork saturation propagates into the scan,
+    /// so saturating sinks keep their early exit within each shard.
+    pub(crate) fn run_forks<S: QuerySink>(&self, job: Vec<(Routed, S)>) -> Vec<(u32, S)> {
+        let (sub, mut forks): (Vec<Routed>, Vec<S>) = job.into_iter().unzip();
+        self.walk(&sub, forks.iter_mut().collect());
+        sub.iter().map(|e| e.0).zip(forks).collect()
+    }
+}
+
+impl<I: MutableIndex> Shard<I> {
+    /// This shard's leg of an insert: stores `s` clipped to the shard
+    /// range, marking it a replica when it starts in an earlier shard.
+    pub(crate) fn insert_leg(&mut self, s: Interval) {
+        let clipped = self.clip(&s);
+        self.index.insert(clipped);
+        if s.st < self.start {
+            self.replicas.insert(s.id);
+        }
+    }
+
+    /// This shard's leg of a delete: removes the clipped copy of `s`,
+    /// dropping its replica mark only when the inner delete matched — so
+    /// a contract-violating delete (endpoints never inserted) cannot
+    /// corrupt more dedup state than the inner index itself would.
+    /// Returns whether it matched.
+    pub(crate) fn delete_leg(&mut self, s: &Interval) -> bool {
+        let found = self.index.delete(&self.clip(s));
+        if found {
+            self.replicas.remove(&s.id);
+        }
+        found
+    }
+}
+
+/// One routed entry of a shard's sub-batch: the position of the query in
+/// the caller's batch, the shard-local sub-query, and whether this shard
+/// is the first the query routes to (replicas are reported there).
+pub(crate) type Routed = (u32, RangeQuery, bool);
+
+/// The routing rules of both read routes — the inline walk on
+/// [`ShardedIndex`] and the worker fan-out of [`crate::ShardPool`]: the
+/// shards' inclusive domain ranges, ascending, and how queries and
+/// writes map onto them.
+#[derive(Clone, Debug)]
+pub(crate) struct Router {
+    bounds: Vec<(Time, Time)>,
+}
+
+impl Router {
+    /// The routing table of `shards`.
+    pub(crate) fn of<I>(shards: &[Shard<I>]) -> Self {
+        Self {
+            bounds: shards.iter().map(|s| (s.start, s.end)).collect(),
+        }
+    }
+
+    /// The inclusive domain range `[start, end]` of each shard, in order.
+    pub(crate) fn bounds(&self) -> &[(Time, Time)] {
+        &self.bounds
+    }
+
+    /// Inclusive domain bounds `[min, max]` across all shards.
+    pub(crate) fn domain(&self) -> (Time, Time) {
+        (self.bounds[0].0, self.bounds[self.bounds.len() - 1].1)
+    }
+
+    /// Index of the shard owning domain point `t` (clamped to the first /
+    /// last shard for out-of-range points).
+    #[inline]
+    fn shard_of(&self, t: Time) -> usize {
+        self.bounds
+            .partition_point(|&(start, _)| start <= t)
+            .saturating_sub(1)
+    }
+
+    /// The contiguous run of shards a query's range overlaps.
+    #[inline]
+    pub(crate) fn route(&self, q: RangeQuery) -> (usize, usize) {
+        (self.shard_of(q.st), self.shard_of(q.end))
+    }
+
+    /// The run of shards a write of `s` touches — every shard its extent
+    /// overlaps — or `None` when `s` lies (partly) outside the sharded
+    /// domain, where no write can land.
+    pub(crate) fn route_write(&self, s: &Interval) -> Option<(usize, usize)> {
+        let (min, max) = self.domain();
+        (s.st >= min && s.end <= max).then(|| {
+            self.route(RangeQuery {
+                st: s.st,
+                end: s.end,
+            })
+        })
+    }
+
+    /// [`route_write`](Self::route_write) for an insert, whose contract
+    /// (like the inner indexes' fixed-domain `insert`) is to panic on an
+    /// out-of-domain interval.
+    pub(crate) fn route_insert(&self, s: &Interval) -> (usize, usize) {
+        self.route_write(s).unwrap_or_else(|| {
+            let (min, max) = self.domain();
+            panic!(
+                "interval [{}, {}] outside the sharded domain [{min}, {max}]",
+                s.st, s.end
+            )
+        })
+    }
+
+    /// The shard-local sub-query for shard `j`: interior boundaries are
+    /// clipped to the shard range, while the query's own endpoints are
+    /// kept on the first/last routed shard (they may lie outside the
+    /// sharded domain; the inner index clamps exactly).
+    #[inline]
+    pub(crate) fn local_query(&self, j: usize, q: RangeQuery, lo: usize, hi: usize) -> RangeQuery {
+        let st = if j == lo { q.st } else { self.bounds[j].0 };
+        let end = if j == hi { q.end } else { self.bounds[j].1 };
+        RangeQuery { st, end }
+    }
+
+    /// Routes a batch into `plan`, reusing its allocations: one sub-batch
+    /// per shard, in batch order, then clustered ([`cluster_plan`]) — the
+    /// plan is built and ordered a single time and reused by every
+    /// routed shard.
+    pub(crate) fn plan_into(&self, queries: &[RangeQuery], plan: &mut Vec<Vec<Routed>>) {
+        plan.resize_with(self.bounds.len(), Vec::new);
+        for sub in plan.iter_mut() {
+            sub.clear();
+        }
+        for (qi, &q) in queries.iter().enumerate() {
+            let (lo, hi) = self.route(q);
+            for (j, sub) in plan[lo..=hi].iter_mut().enumerate() {
+                let j = lo + j;
+                sub.push((qi as u32, self.local_query(j, q, lo, hi), j == lo));
+            }
+        }
+        cluster_plan(plan);
+    }
+}
+
+/// The batch-clustering planning pass: orders every shard's sub-batch
+/// by the shard-local sub-query's `(st, end)` — the same key the sealed
+/// walk would have sorted mapped queries by — *once, at planning time*,
+/// so the sealed shared-level walk skips its own per-(shard, batch)
+/// sort and every routed shard reuses the one ordered plan. Stable, so
+/// equal-start queries keep batch order and plans stay deterministic.
+/// Purely a locality strategy: per-sink results are bit-identical to an
+/// unclustered plan.
+fn cluster_plan(plan: &mut [Vec<Routed>]) {
+    for sub in plan.iter_mut() {
+        if sub.len() > 1 {
+            sub.sort_by_key(|&(_, lq, _)| (lq.st, lq.end));
+        }
+    }
 }
 
 /// A domain-range sharded front-end over `K` inner interval indexes.
@@ -295,11 +497,12 @@ impl<I: IntervalIndex> Shard<I> {
 ///
 /// * Solo queries ([`query_sink`](Self::query_sink)) visit the routed
 ///   shards sequentially in domain order.
-/// * Batches ([`IntervalIndex::query_batch`] and
-///   [`query_batch_merge`](Self::query_batch_merge)) fan out across
-///   shards in parallel — one thread per shard with routed work — and
-///   merge the per-shard results back in shard order, so batched results
-///   are bit-identical to the solo path.
+/// * Batches ([`query_batch`](Self::query_batch) and
+///   [`query_batch_merge`](Self::query_batch_merge)) are routed once and
+///   drained shard by shard, in shard order, straight into the callers'
+///   sinks, so batched results are bit-identical to the solo path. For
+///   a parallel fan-out across shards, move the index into a
+///   [`crate::ShardPool`].
 /// * Writes ([`insert`](Self::insert) / [`delete`](Self::delete), for
 ///   inner indexes implementing [`MutableIndex`]) route to exactly the
 ///   shards the interval overlaps.
@@ -311,6 +514,8 @@ impl<I: IntervalIndex> Shard<I> {
 #[derive(Clone)]
 pub struct ShardedIndex<I> {
     pub(crate) shards: Vec<Shard<I>>,
+    /// The routing table mirrored out of `shards`.
+    router: Router,
     /// Live (deduplicated) interval count across all shards.
     pub(crate) live: usize,
 }
@@ -398,7 +603,7 @@ impl<I: IntervalIndex> ShardedIndex<I> {
         // only what is actually stored so len() matches a full-domain
         // count()
         let live = data.iter().filter(|s| s.end >= min && s.st <= max).count();
-        Self { shards, live }
+        Self::from_parts(shards, live)
     }
 
     /// Number of shards.
@@ -408,7 +613,7 @@ impl<I: IntervalIndex> ShardedIndex<I> {
 
     /// The inclusive domain range `[start, end]` of each shard, in order.
     pub fn shard_bounds(&self) -> Vec<(Time, Time)> {
-        self.shards.iter().map(|s| (s.start, s.end)).collect()
+        self.router.bounds().to_vec()
     }
 
     /// Per-shard live entry counts (replicas included) — the balance a
@@ -423,41 +628,15 @@ impl<I: IntervalIndex> ShardedIndex<I> {
         self.shards.iter().map(|s| s.replicas.len()).sum()
     }
 
-    /// Index of the shard owning domain point `t` (clamped to the first /
-    /// last shard for out-of-range points).
-    #[inline]
-    pub(crate) fn shard_of(&self, t: Time) -> usize {
-        self.shards
-            .partition_point(|s| s.start <= t)
-            .saturating_sub(1)
-    }
-
-    /// The contiguous run of shards a query's range overlaps.
-    #[inline]
-    pub(crate) fn route(&self, q: RangeQuery) -> (usize, usize) {
-        (self.shard_of(q.st), self.shard_of(q.end))
-    }
-
-    /// The shard-local sub-query for shard `j`: interior boundaries are
-    /// clipped to the shard range, while the query's own endpoints are
-    /// kept on the first/last routed shard (they may lie outside the
-    /// sharded domain; the inner index clamps exactly).
-    #[inline]
-    pub(crate) fn local_query(&self, j: usize, q: RangeQuery, lo: usize, hi: usize) -> RangeQuery {
-        let st = if j == lo { q.st } else { self.shards[j].start };
-        let end = if j == hi { q.end } else { self.shards[j].end };
-        RangeQuery { st, end }
-    }
-
     /// Reports all intervals overlapping `q` exactly once, visiting the
     /// routed shards sequentially in domain order.
     pub fn query_sink<S: QuerySink + ?Sized>(&self, q: RangeQuery, sink: &mut S) {
-        let (lo, hi) = self.route(q);
+        let (lo, hi) = self.router.route(q);
         for j in lo..=hi {
             if sink.is_saturated() {
                 return;
             }
-            let lq = self.local_query(j, q, lo, hi);
+            let lq = self.router.local_query(j, q, lo, hi);
             self.shards[j].query_local(lq, j == lo, sink);
         }
     }
@@ -465,6 +644,38 @@ impl<I: IntervalIndex> ShardedIndex<I> {
     /// Enumerates all intervals overlapping `q` into `out`.
     pub fn query(&self, q: RangeQuery, out: &mut Vec<IntervalId>) {
         self.query_sink(q, out)
+    }
+
+    /// Evaluates a batch of queries, one sink per query: the batch is
+    /// routed and clustered once, then each shard's sub-batch is drained
+    /// into the callers' sinks, in shard order, as one shared walk of the
+    /// shard's inner index. Each sink ends up with exactly what a solo
+    /// [`query_sink`](Self::query_sink) call would have emitted, in the
+    /// same order, and caller saturation is visible to the scans.
+    ///
+    /// # Panics
+    /// Panics if `queries` and `sinks` have different lengths.
+    pub fn query_batch(&self, queries: &[RangeQuery], sinks: &mut [&mut dyn QuerySink]) {
+        self.query_batch_merge(queries, sinks)
+    }
+
+    /// [`query_batch`](Self::query_batch) generic over the sink type, so
+    /// the whole chain — replica filter, sealed level walk, regime
+    /// dispatch, emissions — monomorphizes per concrete sink with no
+    /// vtable call anywhere. Nothing is forked: forking per-shard sinks
+    /// and merging them back is [`crate::ShardPool`]'s job.
+    ///
+    /// # Panics
+    /// Panics if `queries` and `sinks` have different lengths.
+    pub fn query_batch_merge<S: QuerySink>(&self, queries: &[RangeQuery], sinks: &mut [S]) {
+        assert_eq!(queries.len(), sinks.len(), "one sink per query");
+        let mut plan = Vec::new();
+        self.router.plan_into(queries, &mut plan);
+        for (shard, sub) in self.shards.iter().zip(&plan) {
+            if !sub.is_empty() {
+                shard.run_inline(sub, sinks);
+            }
+        }
     }
 
     /// Decomposes the index into its shards and live count — the handoff
@@ -476,7 +687,12 @@ impl<I: IntervalIndex> ShardedIndex<I> {
     /// Reassembles an index from parts (the inverse of
     /// [`Self::into_parts`], used when a pool shuts down).
     pub(crate) fn from_parts(shards: Vec<Shard<I>>, live: usize) -> Self {
-        Self { shards, live }
+        let router = Router::of(&shards);
+        Self {
+            shards,
+            router,
+            live,
+        }
     }
 
     /// Approximate heap footprint: inner indexes plus replica bookkeeping.
@@ -501,15 +717,9 @@ impl<I: MutableIndex> ShardedIndex<I> {
     /// Panics if the interval falls outside the sharded domain — the
     /// same contract as the inner indexes' fixed-domain `insert`.
     pub fn insert(&mut self, s: Interval) {
-        self.assert_in_domain(&s);
-        let lo = self.shard_of(s.st);
-        let hi = self.shard_of(s.end);
+        let (lo, hi) = self.router.route_insert(&s);
         for shard in &mut self.shards[lo..=hi] {
-            let clipped = shard.clip(&s);
-            shard.index.insert(clipped);
-            if s.st < shard.start {
-                shard.replicas.insert(s.id);
-            }
+            shard.insert_leg(s);
         }
         self.live += 1;
     }
@@ -521,27 +731,18 @@ impl<I: MutableIndex> ShardedIndex<I> {
     /// interval previously inserted (same id and endpoints). The shard
     /// owning the start point arbitrates presence: if it has no match,
     /// nothing is mutated and `false` is returned; replica markers are
-    /// only dropped in shards whose inner delete actually matched, so a
-    /// contract-violating delete (endpoints that were never inserted)
-    /// cannot corrupt more dedup state than the inner indexes themselves
-    /// would.
+    /// only dropped in shards whose inner delete actually matched
+    /// (see `Shard::delete_leg`).
     pub fn delete(&mut self, s: &Interval) -> bool {
-        if s.st < self.shards[0].start || s.end > self.shards[self.shards.len() - 1].end {
-            return false; // out-of-domain intervals were never inserted
-        }
-        let lo = self.shard_of(s.st);
-        let hi = self.shard_of(s.end);
-        let owner = &mut self.shards[lo];
-        let clipped = owner.clip(s);
-        if !owner.index.delete(&clipped) {
+        // out-of-domain intervals were never inserted
+        let Some((lo, hi)) = self.router.route_write(s) else {
+            return false;
+        };
+        if !self.shards[lo].delete_leg(s) {
             return false;
         }
-        owner.replicas.remove(&s.id);
         for shard in &mut self.shards[lo + 1..=hi] {
-            let clipped = shard.clip(s);
-            if shard.index.delete(&clipped) {
-                shard.replicas.remove(&s.id);
-            }
+            shard.delete_leg(s);
         }
         self.live -= 1;
         true
@@ -565,16 +766,6 @@ impl<I: MutableIndex> ShardedIndex<I> {
             }
             None => false,
         }
-    }
-
-    fn assert_in_domain(&self, s: &Interval) {
-        let (min, max) = (self.shards[0].start, self.shards[self.shards.len() - 1].end);
-        assert!(
-            s.st >= min && s.end <= max,
-            "interval [{}, {}] outside the sharded domain [{min}, {max}]",
-            s.st,
-            s.end,
-        );
     }
 }
 
@@ -612,7 +803,7 @@ impl ShardedIndex<crate::HintMSubs> {
     }
 }
 
-impl<I: IntervalIndex + Sync> IntervalIndex for ShardedIndex<I> {
+impl<I: IntervalIndex> IntervalIndex for ShardedIndex<I> {
     fn query_sink(&self, q: RangeQuery, sink: &mut dyn QuerySink) {
         ShardedIndex::query_sink(self, q, sink)
     }
@@ -644,6 +835,7 @@ impl<I: IntervalIndex + Sync> IntervalIndex for ShardedIndex<I> {
 mod tests {
     use super::*;
     use crate::oracle::ScanOracle;
+    use crate::sink::{CountSink, ExistsSink, FirstK};
     use crate::{HintMSubs, SubsConfig};
 
     fn data() -> Vec<Interval> {
@@ -781,5 +973,172 @@ mod tests {
         f.emit(2);
         f.emit(6);
         assert_eq!(out, vec![1, 3, 5, 6]);
+    }
+
+    /// The batch tests' index: 2,000 intervals over a 16k domain, long
+    /// enough that every `k > 1` has boundary-crossing replicas.
+    fn batch_index(k: usize, seal: bool) -> ShardedIndex<HintMSubs> {
+        let data: Vec<Interval> = (0..2_000)
+            .map(|i| {
+                let st = (i * 53) % 16_000;
+                Interval::new(i, st, (st + (i % 29) * 30).min(16_383))
+            })
+            .collect();
+        let mut idx = ShardedIndex::build_with(&data, k, |slice, lo, hi| {
+            HintMSubs::build_with_domain(slice, crate::Domain::new(lo, hi, 9), SubsConfig::full())
+        });
+        if seal {
+            IntervalIndex::seal(&mut idx);
+        }
+        idx
+    }
+
+    fn batch() -> Vec<RangeQuery> {
+        (0..48u64)
+            .map(|i| {
+                let st = (i * 331) % 16_000;
+                RangeQuery::new(st, (st + 40 + i * 60).min(16_383))
+            })
+            .collect()
+    }
+
+    fn solo(idx: &ShardedIndex<HintMSubs>, queries: &[RangeQuery]) -> Vec<Vec<IntervalId>> {
+        queries
+            .iter()
+            .map(|&q| {
+                let mut v = Vec::new();
+                idx.query_sink(q, &mut v);
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dyn_batch_is_bit_identical_to_solo_for_every_k_and_seal() {
+        for seal in [false, true] {
+            for k in [1, 2, 4, 8] {
+                let idx = batch_index(k, seal);
+                let queries = batch();
+                let mut bufs: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+                let mut sinks: Vec<&mut dyn QuerySink> =
+                    bufs.iter_mut().map(|b| b as &mut dyn QuerySink).collect();
+                idx.query_batch(&queries, &mut sinks);
+                assert_eq!(solo(&idx, &queries), bufs, "k={k} seal={seal}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_path_is_bit_identical_to_solo_for_every_k_and_seal() {
+        for seal in [false, true] {
+            for k in [1, 2, 4, 5, 8, 16] {
+                let idx = batch_index(k, seal);
+                let queries = batch();
+                let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+                idx.query_batch_merge(&queries, &mut merged);
+                assert_eq!(solo(&idx, &queries), merged, "k={k} seal={seal}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_path_counts_and_exists_match_dyn_path() {
+        let idx = batch_index(4, true);
+        let queries = batch();
+        let mut counts = vec![CountSink::new(); queries.len()];
+        idx.query_batch_merge(&queries, &mut counts);
+        let mut exists = vec![ExistsSink::new(); queries.len()];
+        idx.query_batch_merge(&queries, &mut exists);
+        for (i, &q) in queries.iter().enumerate() {
+            assert_eq!(counts[i].count(), idx.count(q), "count {q:?}");
+            assert_eq!(exists[i].found(), idx.exists(q), "exists {q:?}");
+        }
+    }
+
+    #[test]
+    fn merge_path_first_k_is_bit_identical_to_solo_and_never_over_emits() {
+        let idx = batch_index(8, true);
+        let queries = batch();
+        for k in [0, 1, 3, 17] {
+            let mut sinks: Vec<FirstK> = queries.iter().map(|_| FirstK::new(k)).collect();
+            idx.query_batch_merge(&queries, &mut sinks);
+            for (i, &q) in queries.iter().enumerate() {
+                let mut solo = FirstK::new(k);
+                idx.query_sink(q, &mut solo);
+                assert!(sinks[i].len() <= k, "FirstK over-emitted past the merge");
+                assert_eq!(sinks[i].ids(), solo.ids(), "k={k} {q:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_plan_sorts_each_sub_batch_stably_by_local_query() {
+        let rq = RangeQuery::new;
+        let mut plan: Vec<Vec<Routed>> = vec![
+            vec![
+                (0, rq(50, 60), true),
+                (1, rq(10, 90), false),
+                (2, rq(10, 20), true),
+                (3, rq(50, 60), false),
+                (4, rq(10, 20), false),
+            ],
+            Vec::new(),
+            vec![(5, rq(7, 8), true)],
+        ];
+        cluster_plan(&mut plan);
+        // ties keep batch order: 2 before 4, 0 before 3
+        assert_eq!(
+            plan[0],
+            vec![
+                (2, rq(10, 20), true),
+                (4, rq(10, 20), false),
+                (1, rq(10, 90), false),
+                (0, rq(50, 60), true),
+                (3, rq(50, 60), false),
+            ]
+        );
+        assert!(plan[1].is_empty());
+        assert_eq!(plan[2], vec![(5, rq(7, 8), true)]);
+    }
+
+    #[test]
+    fn router_routes_writes_only_inside_the_domain() {
+        let idx = sharded(4);
+        let router = &idx.router;
+        let (min, max) = router.domain();
+        let bounds = router.bounds().to_vec();
+        // a write spanning shards 1..=2, and one pinned to the edges
+        let cross = Interval::new(1, bounds[1].1 - 1, bounds[2].0 + 1);
+        assert_eq!(router.route_write(&cross), Some((1, 2)));
+        assert_eq!(router.route_insert(&cross), (1, 2));
+        assert_eq!(
+            router.route_write(&Interval::new(2, min, max)),
+            Some((0, 3))
+        );
+        // reads clamp to the edge shards, writes outside the domain route
+        // nowhere
+        assert_eq!(router.route(RangeQuery::new(0, max + 100)), (0, 3));
+        assert_eq!(router.route_write(&Interval::new(3, min, max + 1)), None);
+        let err = std::panic::catch_unwind(|| router.route_insert(&Interval::new(4, 0, max + 1)))
+            .expect_err("out-of-domain insert must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("outside the sharded domain"), "got: {msg}");
+    }
+
+    #[test]
+    fn delete_leg_keeps_the_replica_mark_on_a_miss() {
+        let mut idx = sharded(4);
+        let bounds = idx.shard_bounds();
+        let cross = Interval::new(9_100, bounds[1].1 - 5, bounds[2].0 + 5);
+        idx.insert(cross);
+        let shard = &mut idx.shards[2];
+        assert!(shard.replicas.contains(&cross.id));
+        // same id, endpoints never inserted: the inner delete misses, so
+        // the replica mark must survive
+        let wrong = Interval::new(cross.id, cross.st, cross.end + 7);
+        assert!(!shard.delete_leg(&wrong));
+        assert!(shard.replicas.contains(&cross.id));
+        assert!(shard.delete_leg(&cross));
+        assert!(!shard.replicas.contains(&cross.id));
     }
 }

@@ -167,7 +167,7 @@ pub trait QuerySink {
 
 /// A sink whose work can be split across parallel workers and recombined.
 ///
-/// The sharded executor ([`crate::ShardedIndex`]) gives every worker
+/// The shard-worker pool ([`crate::ShardPool`]) gives every worker
 /// thread a private [`fork`](Self::fork) of the caller's sink, lets the
 /// workers drain their shard-local results into the forks concurrently,
 /// and then folds the forks back with [`merge`](Self::merge) — always on
@@ -183,7 +183,7 @@ pub trait QuerySink {
 /// * **aggregates are order-independent** — for pure aggregates
 ///   ([`CountSink`], [`ExistsSink`]) any merge order yields the same
 ///   state; positional sinks ([`CollectSink`], `Vec`, [`FirstK`]) reflect
-///   the order in which `merge` is called, which the executor fixes to
+///   the order in which `merge` is called, which the pool fixes to
 ///   shard order.
 pub trait MergeableSink: QuerySink {
     /// A fresh, empty sink of the same kind (same `k`, same bounds) for a

@@ -5,11 +5,13 @@
 //! [`Transport`] (in-memory duplex channels for deterministic tests,
 //! `std::net` TCP loopback for real sockets — no async runtime), and a
 //! [batch scheduler](server) that accumulates queries from independent
-//! client connections into cross-connection batches, drives them
-//! through [`ShardedIndex::query_batch_merge`](hint_core::ShardedIndex)
-//! in one merged level walk, and streams each query's results back to
-//! its connection through incremental [`WireSink`] encoding — no
-//! full-result `Vec` per query, ever.
+//! client connections into cross-connection batches, hands each batch
+//! to [`Session::query_batch_merge`](hint_core::Session::query_batch_merge)
+//! (which forks it across the session's shard workers, one level walk
+//! per shard, and merges the forks back in shard order; see
+//! [`ShardPool`](hint_core::ShardPool)), and streams each query's
+//! results back to its connection through incremental [`WireSink`]
+//! encoding — no full-result `Vec` per query, ever.
 //!
 //! The server hosts a **catalog** of named indexes: every connection
 //! starts addressed at the default index (id 0), can create/drop/list

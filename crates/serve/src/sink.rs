@@ -1,10 +1,12 @@
 //! The demultiplexing result encoder: one [`WireSink`] per in-flight
-//! query turns the executor's merged batch walk into per-connection
+//! query turns the shard workers' merged batch walk into per-connection
 //! response bytes, with no intermediate `Vec<IntervalId>` per query.
 //!
 //! The scheduler hands the batch to
-//! [`ShardedIndex::query_batch_merge`](hint_core::ShardedIndex::query_batch_merge)
-//! with one `WireSink` per query; every id the index reports is encoded
+//! [`Session::query_batch_merge`](hint_core::Session::query_batch_merge),
+//! which dispatches it to the session's
+//! [`ShardPool`](hint_core::ShardPool), with one `WireSink` per query;
+//! every id the index reports is encoded
 //! straight into the sink's little-endian payload buffer (a bulk
 //! `emit_slice` run becomes one `memcpy`-shaped loop), and the
 //! [`MergeableSink`] contract makes the parallel path free: a worker's
@@ -48,7 +50,7 @@ enum Segment {
 ///
 /// Comparison-free bulk runs arrive as [`ArenaRun`] handles
 /// ([`QuerySink::emit_arena`]) and are kept as handles until
-/// [`into_frames`](Self::into_frames) — the ids cross the executor's
+/// [`into_frames`](Self::into_frames) — the ids cross the pool's
 /// fork/merge boundary without ever being copied into an intermediate
 /// buffer.
 #[derive(Debug, Default)]

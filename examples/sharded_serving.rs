@@ -1,6 +1,9 @@
 //! Sharded serving: a `ShardedIndex` front-end over sealed HINT^m
-//! shards, answering query batches through the parallel executor while
-//! writes keep routing to their owning shards.
+//! shards, answering query batches shard by shard (each batch routed
+//! once, each shard's sub-batch one shared level walk) while writes keep
+//! routing to their owning shards. A `ShardPool` (see the
+//! `serve_client` example, which serves through one) runs the same
+//! walks on persistent per-shard worker threads.
 //!
 //! ```text
 //! cargo run --example sharded_serving --release
@@ -42,7 +45,8 @@ fn main() {
         println!("  shard {i}: [{lo:>8}, {hi:>8}]  {n} entries");
     }
 
-    // a batch of mixed-extent queries, answered in one parallel fan-out
+    // a batch of mixed-extent queries, routed once and answered shard by
+    // shard
     let queries: Vec<RangeQuery> = (0..256u64)
         .map(|i| {
             let st = (i * 7_919) % (domain - 1);
@@ -70,7 +74,7 @@ fn main() {
     println!("count-only batch agrees: {counted} results");
 
     // first-k answers saturate each shard-local scan early and never
-    // over-emit across the merge boundary
+    // over-emit across the shard boundary
     let k = 5;
     let mut tops: Vec<FirstK> = queries.iter().map(|_| FirstK::new(k)).collect();
     index.query_batch_merge(&queries, &mut tops);

@@ -1,16 +1,19 @@
-//! Differential property tests for the sharded parallel executor:
+//! Differential property tests for the sharded read routes:
 //! `ShardedIndex` with any shard count `K` must produce bit-identical
 //! result sets to the unsharded index it wraps — across solo
-//! `query_sink`, parallel `query_batch`, the typed `query_batch_merge`
+//! `query_sink`, batched `query_batch`, the typed `query_batch_merge`
 //! path, count/exists/first-`k` sinks, and insert/delete-then-reseal
-//! cycles.
+//! cycles. The batch tests run every batch twice: through the index's
+//! inline walk and through the fork/merge of a `ShardPool` built from
+//! it.
 //!
 //! The shard-count sweep comes from `test_support::shard_counts()`
 //! (default `[1, 2, 3, 8]`), which CI pins via `HINT_TEST_SHARDS`.
 
 use hint_suite::hint_core::{
     CountSink, Domain, ExistsSink, FirstK, Hint, HintMSubs, HintOptions, Interval, IntervalId,
-    IntervalIndex, QuerySink, RangeQuery, ResultRun, ScanOracle, ShardedIndex, SubsConfig,
+    IntervalIndex, MergeableSink, QuerySink, RangeQuery, ResultRun, ScanOracle, ShardPool,
+    ShardedIndex, SubsConfig,
 };
 use proptest::prelude::*;
 use test_support::{
@@ -29,6 +32,33 @@ fn sharded_hint(data: &[Interval], k: usize) -> ShardedIndex<Hint> {
     ShardedIndex::build_with_domain(data, 0, DOM - 1, k, |slice, lo, hi| {
         Hint::build_with_domain(slice, Domain::new(lo, hi, 9), HintOptions::default())
     })
+}
+
+/// The two batch routes over one sharded index: the index's own inline
+/// walk, and the fork/merge of a `ShardPool` built from a clone of it.
+enum Route<'a> {
+    Inline(&'a ShardedIndex<HintMSubs>),
+    Pool(&'a ShardPool<HintMSubs>),
+}
+
+impl Route<'_> {
+    fn query_batch_merge<S: MergeableSink + Send + 'static>(
+        &self,
+        qs: &[RangeQuery],
+        sinks: &mut [S],
+    ) {
+        match self {
+            Route::Inline(idx) => idx.query_batch_merge(qs, sinks),
+            Route::Pool(pool) => pool.query_batch_merge(qs, sinks),
+        }
+    }
+
+    fn query_batch(&self, qs: &[RangeQuery], sinks: &mut [&mut dyn QuerySink]) {
+        match self {
+            Route::Inline(idx) => idx.query_batch(qs, sinks),
+            Route::Pool(pool) => IntervalIndex::query_batch(*pool, qs, sinks),
+        }
+    }
 }
 
 proptest! {
@@ -83,35 +113,37 @@ proptest! {
         for shards in shard_counts() {
             let mut idx = sharded_subs(&data, shards, SubsConfig::full());
             IntervalIndex::seal(&mut idx);
+            let pool = ShardPool::new(idx.clone());
+            for route in [Route::Inline(&idx), Route::Pool(&pool)] {
+                let mut collects: Vec<Vec<IntervalId>> = qs.iter().map(|_| Vec::new()).collect();
+                route.query_batch_merge(&qs, &mut collects);
+                let mut counts = vec![CountSink::new(); qs.len()];
+                route.query_batch_merge(&qs, &mut counts);
+                let mut exists = vec![ExistsSink::new(); qs.len()];
+                route.query_batch_merge(&qs, &mut exists);
+                let mut firsts: Vec<FirstK> = qs.iter().map(|_| FirstK::new(k)).collect();
+                route.query_batch_merge(&qs, &mut firsts);
 
-            let mut collects: Vec<Vec<IntervalId>> = qs.iter().map(|_| Vec::new()).collect();
-            idx.query_batch_merge(&qs, &mut collects);
-            let mut counts = vec![CountSink::new(); qs.len()];
-            idx.query_batch_merge(&qs, &mut counts);
-            let mut exists = vec![ExistsSink::new(); qs.len()];
-            idx.query_batch_merge(&qs, &mut exists);
-            let mut firsts: Vec<FirstK> = qs.iter().map(|_| FirstK::new(k)).collect();
-            idx.query_batch_merge(&qs, &mut firsts);
-
-            for (i, &q) in qs.iter().enumerate() {
-                let mut solo = Vec::new();
-                idx.query_sink(q, &mut solo);
-                prop_assert_eq!(
-                    &collects[i], &solo,
-                    "K={} collect merge != solo on {:?}", shards, q
-                );
-                prop_assert_eq!(counts[i].count(), solo.len(), "K={} count on {:?}", shards, q);
-                prop_assert_eq!(exists[i].found(), !solo.is_empty(), "K={} exists on {:?}", shards, q);
-                let mut solo_k = FirstK::new(k);
-                idx.query_sink(q, &mut solo_k);
-                prop_assert!(
-                    firsts[i].len() <= k,
-                    "K={} FirstK over-emitted across the merge boundary on {:?}", shards, q
-                );
-                prop_assert_eq!(
-                    firsts[i].ids(), solo_k.ids(),
-                    "K={} FirstK merge != solo on {:?}", shards, q
-                );
+                for (i, &q) in qs.iter().enumerate() {
+                    let mut solo = Vec::new();
+                    idx.query_sink(q, &mut solo);
+                    prop_assert_eq!(
+                        &collects[i], &solo,
+                        "K={} collect merge != solo on {:?}", shards, q
+                    );
+                    prop_assert_eq!(counts[i].count(), solo.len(), "K={} count on {:?}", shards, q);
+                    prop_assert_eq!(exists[i].found(), !solo.is_empty(), "K={} exists on {:?}", shards, q);
+                    let mut solo_k = FirstK::new(k);
+                    idx.query_sink(q, &mut solo_k);
+                    prop_assert!(
+                        firsts[i].len() <= k,
+                        "K={} FirstK over-emitted across the merge boundary on {:?}", shards, q
+                    );
+                    prop_assert_eq!(
+                        firsts[i].ids(), solo_k.ids(),
+                        "K={} FirstK merge != solo on {:?}", shards, q
+                    );
+                }
             }
         }
     }
@@ -161,7 +193,7 @@ proptest! {
 /// Deterministic saturation check at the merge boundary: a query whose
 /// results live in many shards, answered with `FirstK`, must never
 /// receive more than `k` ids — on the dyn `query_batch` path *and* the
-/// typed `query_batch_merge` path.
+/// typed `query_batch_merge` path, inline and through the pool.
 #[test]
 fn first_k_never_over_emits_across_the_merge_boundary() {
     // 800 intervals spread evenly, so every one of the 8 shards owns ~100
@@ -180,38 +212,42 @@ fn first_k_never_over_emits_across_the_merge_boundary() {
     let q = RangeQuery::new(0, 4_003); // selects everything
     let full = idx.count(q);
     assert_eq!(full, 800);
-    for k in [0usize, 1, 7, 100, 799, 800, 1_000] {
-        // dyn path: per-shard result buffers merged through emit_slice
-        let queries = [q, q];
-        let mut a = FirstK::new(k);
-        let mut b = FirstK::new(k);
-        {
-            let mut sinks: Vec<&mut dyn QuerySink> = vec![&mut a, &mut b];
-            idx.query_batch(&queries, &mut sinks);
-        }
-        // typed path: saturation-aware MergeableSink::merge
-        let mut m = vec![FirstK::new(k), FirstK::new(k)];
-        idx.query_batch_merge(&queries, &mut m);
-        for sink in [&a, &b, &m[0], &m[1]] {
-            assert!(
-                sink.len() <= k,
-                "FirstK({k}) over-emitted: {} results crossed the merge boundary",
-                sink.len()
-            );
-            assert_eq!(sink.len(), k.min(full), "FirstK({k}) under-filled");
-        }
-        // every retained id is a real result
-        let want = {
-            let mut v = Vec::new();
-            idx.query(q, &mut v);
-            sorted(v)
-        };
-        for sink in [&a, &m[0]] {
-            for id in sink.ids() {
+    let pool = ShardPool::new(idx.clone());
+    for route in [Route::Inline(&idx), Route::Pool(&pool)] {
+        for k in [0usize, 1, 7, 100, 799, 800, 1_000] {
+            // dyn path: drained inline, or per-shard `Vec` forks merged
+            // through emit_slice on the pool
+            let queries = [q, q];
+            let mut a = FirstK::new(k);
+            let mut b = FirstK::new(k);
+            {
+                let mut sinks: Vec<&mut dyn QuerySink> = vec![&mut a, &mut b];
+                route.query_batch(&queries, &mut sinks);
+            }
+            // typed path: saturation-aware MergeableSink::merge
+            let mut m = vec![FirstK::new(k), FirstK::new(k)];
+            route.query_batch_merge(&queries, &mut m);
+            for sink in [&a, &b, &m[0], &m[1]] {
                 assert!(
-                    want.binary_search(id).is_ok(),
-                    "FirstK({k}) emitted fake id {id}"
+                    sink.len() <= k,
+                    "FirstK({k}) over-emitted: {} results crossed the merge boundary",
+                    sink.len()
                 );
+                assert_eq!(sink.len(), k.min(full), "FirstK({k}) under-filled");
+            }
+            // every retained id is a real result
+            let want = {
+                let mut v = Vec::new();
+                idx.query(q, &mut v);
+                sorted(v)
+            };
+            for sink in [&a, &m[0]] {
+                for id in sink.ids() {
+                    assert!(
+                        want.binary_search(id).is_ok(),
+                        "FirstK({k}) emitted fake id {id}"
+                    );
+                }
             }
         }
     }
@@ -242,58 +278,60 @@ fn zero_copy_handle_merge_matches_solo_for_k_1_2_4_8() {
     for k in [1usize, 2, 4, 8] {
         let mut idx = sharded_subs(&data, k, SubsConfig::full());
         IntervalIndex::seal(&mut idx);
+        let pool = ShardPool::new(idx.clone());
+        for route in [Route::Inline(&idx), Route::Pool(&pool)] {
+            let mut handles: Vec<hint_suite::hint_core::HandleSink> = qs
+                .iter()
+                .map(|_| hint_suite::hint_core::HandleSink::new())
+                .collect();
+            route.query_batch_merge(&qs, &mut handles);
+            if k == 1 {
+                // Guard against the test going vacuous: arena offers are
+                // length-gated (`ARENA_HANDLE_MIN`), so sparse data could
+                // silently stop exercising the zero-copy path. At K=1 no
+                // replica filter can suppress handles — at least one
+                // comparison-free run must cross the boundary un-copied.
+                assert!(
+                    handles
+                        .iter_mut()
+                        .any(|s| s.runs().iter().any(|r| matches!(r, ResultRun::Arena(_)))),
+                    "no arena handle crossed the merge boundary — densify the test data"
+                );
+            }
+            let mut counts = vec![CountSink::new(); qs.len()];
+            route.query_batch_merge(&qs, &mut counts);
+            let mut exists = vec![ExistsSink::new(); qs.len()];
+            route.query_batch_merge(&qs, &mut exists);
+            let mut firsts: Vec<FirstK> = qs.iter().map(|_| FirstK::new(5)).collect();
+            route.query_batch_merge(&qs, &mut firsts);
 
-        let mut handles: Vec<hint_suite::hint_core::HandleSink> = qs
-            .iter()
-            .map(|_| hint_suite::hint_core::HandleSink::new())
-            .collect();
-        idx.query_batch_merge(&qs, &mut handles);
-        if k == 1 {
-            // Guard against the test going vacuous: arena offers are
-            // length-gated (`ARENA_HANDLE_MIN`), so sparse data could
-            // silently stop exercising the zero-copy path. At K=1 no
-            // replica filter can suppress handles — at least one
-            // comparison-free run must cross the boundary un-copied.
-            assert!(
-                handles
-                    .iter_mut()
-                    .any(|s| s.runs().iter().any(|r| matches!(r, ResultRun::Arena(_)))),
-                "no arena handle crossed the merge boundary — densify the test data"
-            );
-        }
-        let mut counts = vec![CountSink::new(); qs.len()];
-        idx.query_batch_merge(&qs, &mut counts);
-        let mut exists = vec![ExistsSink::new(); qs.len()];
-        idx.query_batch_merge(&qs, &mut exists);
-        let mut firsts: Vec<FirstK> = qs.iter().map(|_| FirstK::new(5)).collect();
-        idx.query_batch_merge(&qs, &mut firsts);
-
-        for (i, (&q, sink)) in qs.iter().zip(handles).enumerate() {
-            let mut solo = Vec::new();
-            idx.query_sink(q, &mut solo);
-            assert_eq!(
-                sink.len(),
-                solo.len(),
-                "K={k}: handle count != solo on {q:?}"
-            );
-            let got = sink.into_vec();
-            assert_eq!(got, solo, "K={k}: handle merge != solo on {q:?}");
-            let mut reference = Vec::new();
-            unsharded.query_sink(q, &mut reference);
-            assert_eq!(
-                sorted(got),
-                sorted(reference),
-                "K={k}: handle merge != unsharded on {q:?}"
-            );
-            assert_eq!(counts[i].count(), solo.len(), "K={k}: count on {q:?}");
-            assert_eq!(
-                exists[i].found(),
-                !solo.is_empty(),
-                "K={k}: exists on {q:?}"
-            );
-            let mut solo_k = FirstK::new(5);
-            idx.query_sink(q, &mut solo_k);
-            assert_eq!(firsts[i].ids(), solo_k.ids(), "K={k}: first-k on {q:?}");
+            for (i, (&q, sink)) in qs.iter().zip(handles).enumerate() {
+                let mut solo = Vec::new();
+                idx.query_sink(q, &mut solo);
+                assert_eq!(
+                    sink.len(),
+                    solo.len(),
+                    "K={k}: handle count != solo on {q:?}"
+                );
+                let got = sink.into_vec();
+                assert_eq!(got, solo, "K={k}: handle merge != solo on {q:?}");
+                let mut reference = Vec::new();
+                unsharded.query_sink(q, &mut reference);
+                assert_eq!(
+                    sorted(got),
+                    sorted(reference),
+                    "K={k}: handle merge != unsharded on {q:?}"
+                );
+                assert_eq!(counts[i].count(), solo.len(), "K={k}: count on {q:?}");
+                assert_eq!(
+                    exists[i].found(),
+                    !solo.is_empty(),
+                    "K={k}: exists on {q:?}"
+                );
+                let mut solo_k = FirstK::new(5);
+                idx.query_sink(q, &mut solo_k);
+                assert_eq!(firsts[i].ids(), solo_k.ids(), "K={k}: first-k on {q:?}");
+            }
         }
     }
 }
@@ -323,37 +361,39 @@ fn top_k_and_histogram_merge_match_solo_for_k_1_2_4_8() {
     for k in [1usize, 2, 4, 8] {
         let mut idx = sharded_subs(&data, k, SubsConfig::full());
         IntervalIndex::seal(&mut idx);
+        let pool = ShardPool::new(idx.clone());
+        for route in [Route::Inline(&idx), Route::Pool(&pool)] {
+            let mut tops: Vec<TopKByDuration<_>> = qs
+                .iter()
+                .map(|_| TopKByDuration::new(7, Arc::clone(&lookup)))
+                .collect();
+            route.query_batch_merge(&qs, &mut tops);
+            let mut hists: Vec<BucketHistogram<_>> = qs
+                .iter()
+                .map(|q| {
+                    let buckets = ((q.end - q.st) / 50 + 1) as usize;
+                    BucketHistogram::new(q.st, 50, buckets, Arc::clone(&lookup))
+                })
+                .collect();
+            route.query_batch_merge(&qs, &mut hists);
 
-        let mut tops: Vec<TopKByDuration<_>> = qs
-            .iter()
-            .map(|_| TopKByDuration::new(7, Arc::clone(&lookup)))
-            .collect();
-        idx.query_batch_merge(&qs, &mut tops);
-        let mut hists: Vec<BucketHistogram<_>> = qs
-            .iter()
-            .map(|q| {
+            for ((&q, top), hist) in qs.iter().zip(tops).zip(hists) {
+                let mut solo_top = TopKByDuration::new(7, Arc::clone(&lookup));
+                idx.query_sink(q, &mut solo_top);
+                assert_eq!(
+                    top.into_ids(),
+                    solo_top.into_ids(),
+                    "K={k}: top-k merge != solo on {q:?}"
+                );
                 let buckets = ((q.end - q.st) / 50 + 1) as usize;
-                BucketHistogram::new(q.st, 50, buckets, Arc::clone(&lookup))
-            })
-            .collect();
-        idx.query_batch_merge(&qs, &mut hists);
-
-        for ((&q, top), hist) in qs.iter().zip(tops).zip(hists) {
-            let mut solo_top = TopKByDuration::new(7, Arc::clone(&lookup));
-            idx.query_sink(q, &mut solo_top);
-            assert_eq!(
-                top.into_ids(),
-                solo_top.into_ids(),
-                "K={k}: top-k merge != solo on {q:?}"
-            );
-            let buckets = ((q.end - q.st) / 50 + 1) as usize;
-            let mut solo_hist = BucketHistogram::new(q.st, 50, buckets, Arc::clone(&lookup));
-            idx.query_sink(q, &mut solo_hist);
-            assert_eq!(
-                hist.into_counts(),
-                solo_hist.into_counts(),
-                "K={k}: histogram merge != solo on {q:?}"
-            );
+                let mut solo_hist = BucketHistogram::new(q.st, 50, buckets, Arc::clone(&lookup));
+                idx.query_sink(q, &mut solo_hist);
+                assert_eq!(
+                    hist.into_counts(),
+                    solo_hist.into_counts(),
+                    "K={k}: histogram merge != solo on {q:?}"
+                );
+            }
         }
     }
 }
