@@ -83,11 +83,8 @@ impl<T: Transport> Client<T> {
     }
 
     /// Sends one request with full wire-flag control (pipelining).
-    /// `priority` sets the `FLAG_PRIORITY` bit: the scheduler routes
-    /// the request through the high-QoS lane, ahead of queued
-    /// enumeration traffic from other connections (replies on *this*
-    /// connection stay strictly in request order regardless). Bounded
-    /// verbs (top-k, histogram) ride the high lane even unflagged.
+    /// `priority` sets the `FLAG_PRIORITY` bit, which the server
+    /// accepts and ignores (see `docs/protocol.md`).
     pub fn send_flagged(
         &mut self,
         index: Option<u32>,
@@ -188,23 +185,6 @@ impl<T: Transport> Client<T> {
         let mut out = Vec::new();
         self.query_sink_on(index, q, &mut out)?;
         Ok(out)
-    }
-
-    /// [`query`](Self::query) with the `FLAG_PRIORITY` bit set: the
-    /// scheduler answers it through the high-QoS lane instead of
-    /// queueing behind enumeration traffic (see `docs/protocol.md`).
-    pub fn query_priority(
-        &mut self,
-        index: Option<u32>,
-        q: RangeQuery,
-    ) -> Result<Vec<IntervalId>, ClientError> {
-        self.send_flagged(index, true, &Request::Query(q))?;
-        let mut out = Vec::new();
-        let reply = self.recv_reply(|ids| out.extend_from_slice(ids))?;
-        match reply.status {
-            Status::Ok => Ok(out),
-            s => Err(ClientError::Server(s)),
-        }
     }
 
     /// Inserts an interval. Errs with [`ClientError::Server`] if the

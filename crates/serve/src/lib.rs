@@ -60,26 +60,24 @@
 //!
 //! For TCP, hand [`Server::listen_tcp`] a bound `TcpListener` and point
 //! [`Client`]s at `TcpStream`s (see `examples/serve_client.rs`). The
-//! scheduler's batching policy defaults to an adaptive AIMD batch
-//! window ([`WindowController`]) with QoS lanes and admission control;
-//! it is tunable via [`ServeConfig`] or the `HINT_SERVE_WINDOW` /
-//! `HINT_SERVE_MAX_BATCH` / `HINT_SERVE_MAX_DELAY_US` /
-//! `HINT_SERVE_LANES` / `HINT_SERVE_CONN_PENDING` /
-//! `HINT_SERVE_MAX_PENDING` environment knobs (see `docs/tuning.md`);
-//! `docs/protocol.md` specifies the wire format.
+//! scheduler batches naturally: whenever it is free it executes every
+//! request already queued, up to a cap, as one batch, with no timer;
+//! admission control bounds outstanding work. The cap and the budgets
+//! are tunable via [`ServeConfig`] or the `HINT_SERVE_MAX_BATCH` /
+//! `HINT_SERVE_CONN_PENDING` / `HINT_SERVE_MAX_PENDING` environment
+//! knobs (see `docs/tuning.md`); `docs/protocol.md` specifies the wire
+//! format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod controller;
 pub mod proto;
 pub mod server;
 pub mod sink;
 pub mod transport;
 
 pub use client::{Client, ClientError};
-pub use controller::{ControllerConfig, WindowController};
 pub use proto::{
     Command, DecodeError, Frame, FrameReader, IndexInfo, Kind, Reply, Request, Status,
     FLAG_INDEXED, FLAG_PRIORITY,

@@ -41,13 +41,9 @@ pub const VERSION: u8 = 1;
 /// index — index `0` until a `UseIndex` says otherwise — so legacy
 /// traffic is untouched by the multi-index surface.
 pub const FLAG_INDEXED: u8 = 0x01;
-/// Header flag bit: this request asks for the scheduler's
-/// high-priority QoS lane — it is answered ahead of queued unbounded
-/// enumerations (per-connection FIFO still holds; see
-/// `docs/protocol.md`). Intrinsically bounded verbs (`TopK`,
-/// `Histogram`) ride the high lane with or without the bit; servers
-/// that predate the lane (or run `HINT_SERVE_LANES=off`) ignore the
-/// hint, so the bit is always safe to set.
+/// Header flag bit: a scheduling hint asking for priority. It is
+/// decoded and accepted, and the scheduler ignores it (see
+/// `docs/protocol.md`), so the bit is always safe to set.
 pub const FLAG_PRIORITY: u8 = 0x02;
 /// Longest index name the catalog verbs accept, in bytes (the `Info`
 /// encoding carries the length in one byte).
@@ -281,8 +277,8 @@ pub enum Request {
 pub struct Command {
     /// Explicit index id, if the frame carried the [`FLAG_INDEXED`] bit.
     pub index: Option<u32>,
-    /// True when the frame carried the [`FLAG_PRIORITY`] bit: the
-    /// client asked for the high-priority QoS lane.
+    /// True when the frame carried the [`FLAG_PRIORITY`] bit (a hint
+    /// the scheduler ignores).
     pub priority: bool,
     /// The verb itself.
     pub verb: Request,
@@ -469,7 +465,7 @@ pub fn encode_request_on(out: &mut BytesMut, index: Option<u32>, req: &Request) 
 
 /// Encodes a request frame with full flag control: optional explicit
 /// catalog index ([`FLAG_INDEXED`] payload prefix) and the
-/// [`FLAG_PRIORITY`] QoS-lane hint. With `index: None, priority: false`
+/// [`FLAG_PRIORITY`] hint. With `index: None, priority: false`
 /// the encoding is byte-identical to [`encode_request`].
 pub fn encode_request_flagged(
     out: &mut BytesMut,
@@ -593,7 +589,7 @@ impl Frame {
     }
 
     /// Interprets this frame as a [`Command`]: the optional
-    /// [`FLAG_INDEXED`] index prefix, the [`FLAG_PRIORITY`] lane hint,
+    /// [`FLAG_INDEXED`] index prefix, the [`FLAG_PRIORITY`] hint,
     /// plus the verb. Unknown flag bits are rejected recoverably
     /// ([`Status::BadVerb`]) rather than silently misread.
     pub fn to_command(&self) -> Result<Command, Status> {

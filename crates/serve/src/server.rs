@@ -39,23 +39,21 @@
 //!
 //! ## Batching policy
 //!
-//! Queries accumulate in arrival order until either the batch window
-//! fills or the flush deadline passes; the batch then executes as one
-//! `query_batch_merge` call — the level walks are shared across *all*
-//! connections' queries — and each query's [`WireSink`] demultiplexes
-//! into its connection's response stream. By default the window and
-//! deadline are chosen live by a bounded AIMD controller
-//! ([`crate::WindowController`]) from observed arrival rate and batch
-//! occupancy; `HINT_SERVE_WINDOW=fixed` (or [`ServeConfig::fixed`])
-//! restores the static `max_batch`/`max_delay` policy verbatim. Writes
-//! (`Insert`/`Delete`/`Seal`) act as barriers: they flush the pending
-//! batch, apply, and ack, which keeps the global order serializable and
-//! every connection's replies in its request order. Because requests
-//! are answered strictly FIFO per connection, batched results are
-//! bit-identical to what a solo `query_sink` at the same point in the
-//! write sequence would produce — with lanes on, bounded verbs may
-//! *reply* ahead of other connections' enumerations, but never ahead of
-//! anything earlier on their own connection, so the invariant holds.
+//! Natural batching, with no timer: while the scheduler has nothing
+//! queued it blocks for the next op; then it takes every op already
+//! waiting in its channel, and flushes when the channel is empty or the
+//! batch holds [`ServeConfig::max_batch`] requests. A lone request is
+//! therefore answered at once, and under load batches grow on their
+//! own, because requests queue while a batch executes. A flushed batch
+//! executes as one `query_batch_merge` call per addressed index — the
+//! level walks are shared across *all* connections' queries — and each
+//! query's [`WireSink`] demultiplexes into its connection's response
+//! stream. Writes (`Insert`/`Delete`/`Seal`) act as barriers: they
+//! flush the pending batch, apply, and ack, which keeps the global
+//! order serializable and every connection's replies in its request
+//! order. Because requests are answered strictly FIFO per connection,
+//! batched results are bit-identical to what a solo `query_sink` at the
+//! same point in the write sequence would produce.
 //!
 //! ## Overload behavior
 //!
@@ -73,7 +71,6 @@
 //! retry. Writes and catalog verbs are synchronous barriers and need no
 //! budget: they backpressure naturally.
 
-use crate::controller::{ControllerConfig, WindowController};
 use crate::proto::{
     encode_end, encode_index_infos, encode_results, encode_snapshot_chunk, Command, DecodeError,
     FrameReader, IndexInfo, Reply, Request, Status, READ_BUF,
@@ -81,18 +78,17 @@ use crate::proto::{
 use crate::sink::{Records, ServeSink, WireSink};
 use crate::transport::Transport;
 use bytes::{BufMut, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use hint_core::env::{Switch, WindowMode};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use hint_core::{Domain, HintMSubs, Interval, RangeQuery, Session, ShardedIndex, SubsConfig};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Payload bytes per streamed snapshot chunk (64 KiB: large enough to
 /// amortize frame headers, small enough to keep the writer thread's
@@ -163,23 +159,15 @@ impl SnapshotVerbs for Session<HintMSubs> {
     }
 }
 
-/// Scheduler tuning: how long and how wide query batches may grow, how
-/// the window is sized ([`WindowMode`]), and how much work a connection
-/// (or the whole server) may queue before the scheduler sheds load.
+/// Scheduler tuning: how wide a batch may grow, and how much work a
+/// connection (or the whole server) may have outstanding before the
+/// scheduler sheds load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Flush the pending batch at this many queries. In adaptive mode
-    /// this is the controller's *upper bound* (`max_window`).
+    /// The most requests one flush executes. The scheduler flushes
+    /// earlier whenever its op channel runs dry, so this only bounds
+    /// the batches a backlog forms.
     pub max_batch: usize,
-    /// Flush the pending batch this long after it opened, even if not
-    /// full — the latency bound a queued query pays for batching. In
-    /// adaptive mode this caps the controller's derived delay.
-    pub max_delay: Duration,
-    /// Static window vs AIMD-controlled (see [`crate::WindowController`]).
-    pub mode: WindowMode,
-    /// Smallest window the adaptive controller may choose (>= 1).
-    /// Ignored in fixed mode.
-    pub min_window: usize,
     /// Most admitted walk-driven requests one connection may have
     /// *outstanding* (decoded by its reader, reply not yet sent) before
     /// further requests on it are shed with a recoverable
@@ -189,95 +177,33 @@ pub struct ServeConfig {
     /// connections before shedding — the global backstop against a
     /// many-connection flood.
     pub max_pending: usize,
-    /// QoS lanes: bounded requests (top-k, histograms, empty-stream
-    /// Allen probes, and anything sent with the wire priority flag)
-    /// flush ahead of enumeration traffic, with round-robin fairness
-    /// across connections inside each lane. Per-connection FIFO is
-    /// preserved either way.
-    pub lanes: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_micros(200),
-            mode: WindowMode::Adaptive,
-            min_window: 1,
             conn_pending: 256,
             max_pending: 4096,
-            lanes: true,
         }
     }
 }
 
 impl ServeConfig {
-    /// The pre-controller configuration: a static window of exactly
-    /// `max_batch`/`max_delay` and no lanes. Admission keeps the default
-    /// budgets (`conn_pending` 256, `max_pending` 4096). Window
-    /// scheduling is byte-identical to servers built before the adaptive
-    /// controller existed.
-    pub fn fixed(max_batch: usize, max_delay: Duration) -> Self {
-        Self {
-            max_batch,
-            max_delay,
-            mode: WindowMode::Fixed,
-            lanes: false,
-            ..Self::default()
-        }
-    }
-
     /// Reads the `HINT_SERVE_*` scheduler knobs over the defaults:
-    /// `HINT_SERVE_WINDOW` (`fixed`/`adaptive`), `HINT_SERVE_MAX_BATCH`
-    /// (queries, >= 1), `HINT_SERVE_WINDOW_MIN` (>= 1),
-    /// `HINT_SERVE_MAX_DELAY_US` (microseconds), `HINT_SERVE_CONN_PENDING`
-    /// / `HINT_SERVE_MAX_PENDING` (admission budgets, >= 1) and
-    /// `HINT_SERVE_LANES` (`on`/`off`).
-    /// Rejected values warn once on stderr and fall back (see
-    /// [`hint_core::env`]).
+    /// `HINT_SERVE_MAX_BATCH` (queries, >= 1) and
+    /// `HINT_SERVE_CONN_PENDING` / `HINT_SERVE_MAX_PENDING` (admission
+    /// budgets, >= 1). Rejected values warn once on stderr and fall
+    /// back (see [`hint_core::env`]).
     pub fn from_env() -> Self {
         let d = Self::default();
+        let at_least_one = |name: &str, default: usize| {
+            hint_core::env::var_or(name, default, "must be >= 1", |&n: &usize| n >= 1)
+        };
         Self {
-            max_batch: hint_core::env::var_or(
-                "HINT_SERVE_MAX_BATCH",
-                d.max_batch,
-                "must be >= 1",
-                |&n| n >= 1,
-            ),
-            max_delay: Duration::from_micros(hint_core::env::var_or(
-                "HINT_SERVE_MAX_DELAY_US",
-                d.max_delay.as_micros() as u64,
-                "microseconds",
-                |_| true,
-            )),
-            mode: hint_core::env::var_or("HINT_SERVE_WINDOW", d.mode, "fixed or adaptive", |_| {
-                true
-            }),
-            min_window: hint_core::env::var_or(
-                "HINT_SERVE_WINDOW_MIN",
-                d.min_window,
-                "must be >= 1",
-                |&n| n >= 1,
-            ),
-            conn_pending: hint_core::env::var_or(
-                "HINT_SERVE_CONN_PENDING",
-                d.conn_pending,
-                "must be >= 1",
-                |&n| n >= 1,
-            ),
-            max_pending: hint_core::env::var_or(
-                "HINT_SERVE_MAX_PENDING",
-                d.max_pending,
-                "must be >= 1",
-                |&n| n >= 1,
-            ),
-            lanes: hint_core::env::var_or(
-                "HINT_SERVE_LANES",
-                if d.lanes { Switch::On } else { Switch::Off },
-                "on or off",
-                |_| true,
-            )
-            .is_on(),
+            max_batch: at_least_one("HINT_SERVE_MAX_BATCH", d.max_batch),
+            conn_pending: at_least_one("HINT_SERVE_CONN_PENDING", d.conn_pending),
+            max_pending: at_least_one("HINT_SERVE_MAX_PENDING", d.max_pending),
         }
     }
 }
@@ -309,11 +235,10 @@ pub struct BatchStats {
     /// with a recoverable [`Status::Overloaded`] trailer, never
     /// executed.
     pub shed: u64,
-    /// Requests that rode the high-priority lane (bounded verbs and
-    /// wire-flagged priority requests, when lanes are on).
+    /// Always 0: the scheduler has no priority lanes. Kept only
+    /// because hintbench prints it.
     pub lane_high: u64,
-    /// The batch window currently in force (the configured `max_batch`
-    /// in fixed mode, the controller's live choice in adaptive mode).
+    /// The batch cap in force ([`ServeConfig::max_batch`]).
     pub cur_window: usize,
 }
 
@@ -722,8 +647,14 @@ impl Server {
         let scheduler = std::thread::Builder::new()
             .name("serve-scheduler".into())
             .spawn(move || {
-                Scheduler::new(session, records, config, scheduler_stats, scheduler_gate)
-                    .run(ops_rx)
+                Scheduler::new(
+                    session,
+                    records,
+                    config.max_batch,
+                    scheduler_stats,
+                    scheduler_gate,
+                )
+                .run(ops_rx)
             })?;
         Ok(Server {
             ops: ops_tx,
@@ -943,8 +874,6 @@ struct Pending {
     /// known to be empty, the slot only holds FIFO position).
     probe: Option<RangeQuery>,
     sink: ServeSink,
-    /// High-priority lane: bounded verbs and wire-flagged requests.
-    high: bool,
 }
 
 /// Streams (outer, inner) join pairs to one connection as they are
@@ -1022,24 +951,16 @@ impl hint_core::QuerySink for JoinStream {
 /// The scheduler: owns the catalog and the pending queue.
 struct Scheduler {
     catalog: Catalog,
-    config: ServeConfig,
+    /// The batch cap ([`ServeConfig::max_batch`], at least 1).
+    max_batch: usize,
     conns: HashMap<ConnId, ConnState>,
     /// Queued walk-driven requests in global arrival order (which
     /// restricts to per-connection request order).
     pending: Vec<Pending>,
-    /// When the open batch must flush (set when its first query
-    /// arrives).
-    deadline: Instant,
     /// The admission gate the reader threads meter against; the
     /// scheduler's half of the contract is returning each admitted
     /// request's budget when its reply is sent.
     gate: AdmissionGate,
-    /// The AIMD window controller; `None` in fixed mode, which leaves
-    /// scheduling byte-identical to the pre-controller servers.
-    controller: Option<WindowController>,
-    /// Epoch for the synthetic microsecond timestamps the controller
-    /// consumes (it never reads the clock itself).
-    t0: Instant,
     stats: Arc<RwLock<BatchStats>>,
 }
 
@@ -1047,7 +968,7 @@ impl Scheduler {
     fn new(
         session: Session<HintMSubs>,
         records: Records,
-        config: ServeConfig,
+        max_batch: usize,
         stats: Arc<RwLock<BatchStats>>,
         gate: AdmissionGate,
     ) -> Self {
@@ -1062,87 +983,44 @@ impl Scheduler {
             session,
             records,
         };
-        let config = ServeConfig {
-            max_batch: config.max_batch.max(1),
-            min_window: config.min_window.clamp(1, config.max_batch.max(1)),
-            conn_pending: config.conn_pending.max(1),
-            max_pending: config.max_pending.max(1),
-            ..config
-        };
-        let controller = match config.mode {
-            WindowMode::Fixed => None,
-            WindowMode::Adaptive => Some(WindowController::new(ControllerConfig {
-                min_window: config.min_window,
-                max_window: config.max_batch,
-                max_delay: config.max_delay,
-            })),
-        };
-        stats.write().cur_window = controller
-            .as_ref()
-            .map_or(config.max_batch, WindowController::window);
+        let max_batch = max_batch.max(1);
+        stats.write().cur_window = max_batch;
         Self {
             catalog: Catalog::new(default, max),
-            config,
+            max_batch,
             conns: HashMap::new(),
             pending: Vec::new(),
-            deadline: Instant::now(),
             gate,
-            controller,
-            t0: Instant::now(),
             stats,
         }
     }
 
-    /// Microseconds since scheduler start — the monotonic scale fed to
-    /// the controller.
-    fn now_us(&self) -> u64 {
-        self.t0.elapsed().as_micros() as u64
-    }
-
-    /// The batch window currently in force.
-    fn cur_window(&self) -> usize {
-        self.controller
-            .as_ref()
-            .map_or(self.config.max_batch, WindowController::window)
-    }
-
-    /// The flush delay the next batch should wait for.
-    fn cur_delay(&self) -> Duration {
-        self.controller
-            .as_ref()
-            .map_or(self.config.max_delay, WindowController::delay)
-    }
-
+    /// Natural batching: block while nothing is queued, then take every
+    /// op already waiting and flush when the channel runs dry (or
+    /// [`push`](Self::push) fills a batch). No timer, so a lone request
+    /// never waits, and a backlog becomes batches on its own.
     fn run(mut self, ops: Receiver<Op>) {
         loop {
-            let op = if self.pending.is_empty() {
-                // between batches and out of work: under the `idle`
-                // re-tune policy, fold dirty overlays in now (and
-                // re-tune the dirty shards against their observed
-                // extent mix) instead of waiting for a Seal request
-                match ops.try_recv() {
-                    Ok(op) => op,
-                    Err(crossbeam::channel::TryRecvError::Empty) => {
-                        self.maybe_reseal_idle();
-                        match ops.recv() {
-                            Ok(op) => op,
-                            Err(_) => return, // every handle gone
-                        }
-                    }
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => return,
+            let op = match ops.try_recv() {
+                Ok(op) => op,
+                Err(TryRecvError::Empty) if !self.pending.is_empty() => {
+                    self.flush_all();
+                    continue;
                 }
-            } else {
-                let wait = self.deadline.saturating_duration_since(Instant::now());
-                match ops.recv_timeout(wait) {
-                    Ok(op) => op,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.flush_deadline();
-                        continue;
+                Err(TryRecvError::Empty) => {
+                    // between batches and out of work: under the `idle`
+                    // re-tune policy, fold dirty overlays in now (and
+                    // re-tune the dirty shards against their observed
+                    // extent mix) instead of waiting for a Seal request
+                    self.maybe_reseal_idle();
+                    match ops.recv() {
+                        Ok(op) => op,
+                        Err(_) => return, // every handle gone
                     }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.flush_all();
-                        return;
-                    }
+                }
+                Err(TryRecvError::Disconnected) => {
+                    self.flush_all();
+                    return;
                 }
             };
             match op {
@@ -1193,9 +1071,8 @@ impl Scheduler {
             // the reader's admission gate refused this request: queue
             // only its FIFO placeholder, which carries the recoverable
             // `Overloaded` trailer and nothing else
-            let high = cmd.priority
-                || matches!(cmd.verb, Request::TopK { .. } | Request::Histogram { .. });
-            self.shed_slot(conn, eid, high);
+            self.stats.write().shed += 1;
+            self.push(conn, eid, None, ServeSink::Shed);
             return;
         }
         match cmd.verb {
@@ -1253,12 +1130,8 @@ impl Scheduler {
                 self.send_end(conn, reply);
             }
             // ---- walk-driven reads --------------------------------
-            // bounded verbs (top-k, histogram, provably-empty Allen)
-            // ride the high lane regardless of the wire flag: their
-            // reply cost is O(k)/O(buckets), so letting them jump
-            // enumeration traffic is what the lanes exist for
             Request::Query(q) => match self.catalog.get(eid) {
-                Some(_) => self.enqueue(conn, eid, Some(q), ServeSink::range(), cmd.priority),
+                Some(_) => self.push(conn, eid, Some(q), ServeSink::range()),
                 None => self.reject_gated(conn, Status::UnknownIndex),
             },
             Request::Allen { rel, q } => match self.catalog.get(eid) {
@@ -1269,10 +1142,10 @@ impl Scheduler {
                     match rel.probe(q, lo, hi) {
                         Some(p) => {
                             let sink = ServeSink::allen(rel, q, Arc::clone(&entry.records));
-                            self.enqueue(conn, eid, Some(p), sink, cmd.priority);
+                            self.push(conn, eid, Some(p), sink);
                         }
                         // provably empty, but the slot keeps FIFO order
-                        None => self.enqueue(conn, eid, None, ServeSink::Empty, true),
+                        None => self.push(conn, eid, None, ServeSink::Empty),
                     }
                 }
                 None => self.reject_gated(conn, Status::UnknownIndex),
@@ -1280,7 +1153,7 @@ impl Scheduler {
             Request::TopK { k, q } => match self.catalog.get(eid) {
                 Some(entry) => {
                     let sink = ServeSink::top_k(k as usize, Arc::clone(&entry.records));
-                    self.enqueue(conn, eid, Some(q), sink, true);
+                    self.push(conn, eid, Some(q), sink);
                 }
                 None => self.reject_gated(conn, Status::UnknownIndex),
             },
@@ -1292,7 +1165,7 @@ impl Scheduler {
                         return;
                     }
                     let sink = ServeSink::histogram(q, width, Arc::clone(&entry.records));
-                    self.enqueue(conn, eid, Some(q), sink, true);
+                    self.push(conn, eid, Some(q), sink);
                 }
                 None => self.reject_gated(conn, Status::UnknownIndex),
             },
@@ -1435,69 +1308,18 @@ impl Scheduler {
         }
     }
 
-    /// Queues an admitted walk-driven request, flushing everything when
-    /// the batch window fills.
-    fn enqueue(
-        &mut self,
-        conn: ConnId,
-        entry: u32,
-        probe: Option<RangeQuery>,
-        sink: ServeSink,
-        high: bool,
-    ) {
-        self.push(conn, entry, probe, sink, high, true);
-    }
-
-    /// Queues the FIFO placeholder for a request the reader's admission
-    /// gate refused: no walk, no budget held, just the recoverable
-    /// [`Status::Overloaded`] trailer in its request-order position.
-    fn shed_slot(&mut self, conn: ConnId, entry: u32, high: bool) {
-        self.stats.write().shed += 1;
-        self.push(conn, entry, None, ServeSink::Shed, high, false);
-    }
-
-    fn push(
-        &mut self,
-        conn: ConnId,
-        entry: u32,
-        probe: Option<RangeQuery>,
-        sink: ServeSink,
-        high: bool,
-        admitted: bool,
-    ) {
-        let now = self.now_us();
-        if let Some(c) = &mut self.controller {
-            c.on_arrival(now);
-        }
-        if high && self.config.lanes {
-            self.stats.write().lane_high += 1;
-        }
-        if self.pending.is_empty() {
-            self.deadline = Instant::now() + self.cur_delay();
-        }
+    /// Queues one walk-driven request (or a shed request's FIFO
+    /// placeholder), flushing everything once the batch reaches the
+    /// cap.
+    fn push(&mut self, conn: ConnId, entry: u32, probe: Option<RangeQuery>, sink: ServeSink) {
         self.pending.push(Pending {
             conn,
             entry,
             probe,
             sink,
-            high,
         });
-        if self.pending.len() >= self.cur_window() {
-            self.flush_full();
-        } else if high
-            && admitted
-            && self.config.lanes
-            && self
-                .pending
-                .iter()
-                .filter(|p| p.conn == conn)
-                .all(|p| p.high)
-        {
-            // a high-priority request behind nothing but other high
-            // work on its own connection does not wait out the window:
-            // flush the connection now — the whole point of the lane is
-            // that a bounded query never queues behind the batch timer
-            self.flush_conn(conn);
+        if self.pending.len() >= self.max_batch {
+            self.flush_all();
         }
     }
 
@@ -1510,30 +1332,6 @@ impl Scheduler {
         if let Some(c) = self.conns.get(&conn) {
             c.inflight.fetch_sub(1, Ordering::Relaxed);
         }
-    }
-
-    /// A window-full flush: feed the controller, then flush.
-    fn flush_full(&mut self) {
-        if let Some(c) = &mut self.controller {
-            c.on_flush(self.pending.len(), false);
-        }
-        self.note_window();
-        self.flush_all();
-    }
-
-    /// A deadline flush: the timer fired before the window filled.
-    fn flush_deadline(&mut self) {
-        if let Some(c) = &mut self.controller {
-            c.on_flush(self.pending.len(), true);
-        }
-        self.note_window();
-        self.flush_all();
-    }
-
-    /// Mirrors the controller's current window into the stats snapshot.
-    fn note_window(&mut self) {
-        let w = self.cur_window();
-        self.stats.write().cur_window = w;
     }
 
     /// Answers a request with an error trailer in FIFO position.
@@ -1581,60 +1379,10 @@ impl Scheduler {
         stream.finish();
     }
 
-    /// Flushes every queued request. With lanes on, each connection's
-    /// maximal all-high *prefix* executes (and replies) ahead of the
-    /// low lane — a prefix split, so per-connection FIFO survives —
-    /// and each lane is round-robin reordered across connections so no
-    /// single flooder monopolizes the front of a batch.
+    /// Flushes every queued request.
     fn flush_all(&mut self) {
         let items = std::mem::take(&mut self.pending);
-        if items.is_empty() {
-            return;
-        }
-        if !self.config.lanes {
-            self.execute(items);
-            return;
-        }
-        let mut still_high: HashMap<ConnId, bool> = HashMap::new();
-        let mut high = Vec::new();
-        let mut low = Vec::new();
-        for p in items {
-            let eligible = still_high.entry(p.conn).or_insert(true);
-            if *eligible && p.high {
-                high.push(p);
-            } else {
-                *eligible = false;
-                low.push(p);
-            }
-        }
-        self.execute(Self::round_robin(high));
-        self.execute(Self::round_robin(low));
-    }
-
-    /// Round-robin fairness within a lane: items are dealt out one per
-    /// connection per round (connections ordered by first appearance),
-    /// preserving each connection's own order.
-    fn round_robin(items: Vec<Pending>) -> Vec<Pending> {
-        if items.len() <= 1 {
-            return items;
-        }
-        let mut queues: Vec<(ConnId, VecDeque<Pending>)> = Vec::new();
-        for p in items {
-            match queues.iter_mut().find(|(c, _)| *c == p.conn) {
-                Some((_, q)) => q.push_back(p),
-                None => queues.push((p.conn, VecDeque::from([p]))),
-            }
-        }
-        let mut out = Vec::with_capacity(queues.iter().map(|(_, q)| q.len()).sum());
-        while !queues.is_empty() {
-            queues.retain_mut(|(_, q)| {
-                if let Some(p) = q.pop_front() {
-                    out.push(p);
-                }
-                !q.is_empty()
-            });
-        }
-        out
+        self.execute(items);
     }
 
     /// Flushes one connection's queued requests (all indexes).
@@ -1847,17 +1595,20 @@ mod tests {
     use bytes::Buf;
     use hint_core::{Domain, Interval, ShardedIndex, SubsConfig};
 
-    fn session() -> Session<HintMSubs> {
+    fn sharded() -> ShardedIndex<HintMSubs> {
         let data: Vec<Interval> = (0..500)
             .map(|i| {
                 let st = (i * 37) % 4_000;
                 Interval::new(i, st, (st + i % 50).min(4_095))
             })
             .collect();
-        let sharded = ShardedIndex::build_with_domain(&data, 0, 4_095, 4, |s, lo, hi| {
+        ShardedIndex::build_with_domain(&data, 0, 4_095, 4, |s, lo, hi| {
             HintMSubs::build_with_domain(s, Domain::new(lo, hi, 8), SubsConfig::full())
-        });
-        Session::new(sharded)
+        })
+    }
+
+    fn session() -> Session<HintMSubs> {
+        Session::new(sharded())
     }
 
     fn failing_read_spawn(name: String, f: Box<dyn FnOnce() + Send + 'static>) -> io::Result<()> {
@@ -1891,6 +1642,850 @@ mod tests {
                 .pop_front()
                 .unwrap_or_else(|| Err(io::Error::new(io::ErrorKind::Unsupported, "script over")))
         }
+    }
+
+    /// A scheduler over [`session`], plus the admission gate its
+    /// connections' readers would share and its stats.
+    fn scheduler(config: ServeConfig) -> (Scheduler, AdmissionGate, Arc<RwLock<BatchStats>>) {
+        scheduler_over(session(), config)
+    }
+
+    /// [`scheduler`] over a caller-built session.
+    fn scheduler_over(
+        mut session: Session<HintMSubs>,
+        config: ServeConfig,
+    ) -> (Scheduler, AdmissionGate, Arc<RwLock<BatchStats>>) {
+        let records: Records = Arc::new(
+            session
+                .live_intervals()
+                .unwrap()
+                .into_iter()
+                .map(|s| (s.id, s))
+                .collect(),
+        );
+        let stats = Arc::new(RwLock::new(BatchStats::default()));
+        let gate = AdmissionGate {
+            inflight: Arc::new(AtomicUsize::new(0)),
+            conn_pending: config.conn_pending,
+            max_pending: config.max_pending,
+        };
+        let sched = Scheduler::new(
+            session,
+            records,
+            config.max_batch,
+            Arc::clone(&stats),
+            gate.clone(),
+        );
+        (sched, gate, stats)
+    }
+
+    /// One connection as the scheduler sees it: registered on the op
+    /// channel the way `spawn_connection` does, minus the threads.
+    struct TestConn {
+        id: ConnId,
+        inflight: Arc<AtomicUsize>,
+        replies: Receiver<BytesMut>,
+    }
+
+    impl TestConn {
+        fn open(ops: &Sender<Op>, id: ConnId) -> Self {
+            let (tx, replies) = unbounded();
+            let inflight = Arc::new(AtomicUsize::new(0));
+            let state = ConnState {
+                tx,
+                default_index: 0,
+                inflight: Arc::clone(&inflight),
+                free: FreeList::default(),
+            };
+            ops.send(Op::Conn(id, state)).unwrap();
+            Self {
+                id,
+                inflight,
+                replies,
+            }
+        }
+
+        /// Queues `qs` as one reader batch, gated as the reader gates.
+        fn send(&self, ops: &Sender<Op>, gate: &AdmissionGate, qs: &[RangeQuery]) {
+            let cmds = qs.iter().map(|&q| cmd(Request::Query(q))).collect();
+            self.send_cmds(ops, gate, cmds);
+        }
+
+        /// Queues `cmds` as one reader batch, gated as the reader gates.
+        fn send_cmds(&self, ops: &Sender<Op>, gate: &AdmissionGate, cmds: Vec<Command>) {
+            let batch = cmds
+                .into_iter()
+                .map(|cmd| {
+                    let shed = shed_at_gate(gate, &self.inflight, &cmd);
+                    Inbound::Request(cmd, shed)
+                })
+                .collect();
+            ops.send(Op::Batch(self.id, batch)).unwrap();
+        }
+
+        /// The next reply buffer the scheduler sends this connection.
+        /// Bounded so a scheduler that never flushes fails the test
+        /// instead of hanging it.
+        fn next_buf(&self) -> BytesMut {
+            let give_up = std::time::Instant::now() + Duration::from_secs(10);
+            loop {
+                if let Ok(buf) = self.replies.try_recv() {
+                    return buf;
+                }
+                assert!(
+                    std::time::Instant::now() < give_up,
+                    "no reply for connection {}",
+                    self.id
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    /// An un-addressed, unflagged command.
+    fn cmd(verb: Request) -> Command {
+        Command {
+            index: None,
+            priority: false,
+            verb,
+        }
+    }
+
+    /// Polls `done` until it holds, failing the test after 10 s instead
+    /// of hanging it.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < give_up, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    impl TestConn {
+        /// Waits until the scheduler drops this connection's reply
+        /// channel; any further reply fails the test.
+        fn expect_closed(&self) {
+            wait_for("connection closed", || match self.replies.try_recv() {
+                Ok(_) => panic!("unexpected reply for connection {}", self.id),
+                Err(e) => e == TryRecvError::Disconnected,
+            });
+        }
+    }
+
+    /// Each reply's trailer in one reply buffer: status and count.
+    fn trailers(buf: BytesMut) -> Vec<(Status, u64)> {
+        let mut frames = FrameReader::new(buf.as_slice());
+        let mut out = Vec::new();
+        while let Some(mut f) = frames.read_frame().unwrap() {
+            if f.kind == crate::proto::Kind::End {
+                let status = Status::from_u8(f.payload.get_u8());
+                out.push((status, f.payload.get_u64_le()));
+            }
+        }
+        out
+    }
+
+    /// Decodes one reply buffer: each reply's sorted ids and status.
+    fn decode(buf: BytesMut) -> Vec<(Vec<u64>, Status)> {
+        let mut frames = FrameReader::new(buf.as_slice());
+        let mut out = Vec::new();
+        let mut ids = Vec::new();
+        while let Some(mut f) = frames.read_frame().unwrap() {
+            match f.kind {
+                crate::proto::Kind::Results => {
+                    while f.payload.has_remaining() {
+                        ids.push(f.payload.get_u64_le());
+                    }
+                }
+                crate::proto::Kind::End => {
+                    ids.sort_unstable();
+                    out.push((
+                        std::mem::take(&mut ids),
+                        Status::from_u8(f.payload.get_u8()),
+                    ));
+                }
+                kind => panic!("unexpected {kind:?} frame"),
+            }
+        }
+        out
+    }
+
+    /// What a solo `query_sink` answers, sorted.
+    fn direct(q: RangeQuery) -> (Vec<u64>, Status) {
+        let mut ids: Vec<u64> = Vec::new();
+        session().query_sink(q, &mut ids);
+        ids.sort_unstable();
+        (ids, Status::Ok)
+    }
+
+    /// Distinct, non-empty probes over [`session`]'s domain.
+    fn probe(i: u64) -> RangeQuery {
+        RangeQuery::new(i * 300, i * 300 + 120)
+    }
+
+    #[test]
+    fn scheduler_answers_a_lone_query_without_further_ops() {
+        // the op channel stays open and nothing follows the query, so
+        // no batch ever fills: only the flush on an empty channel can
+        // answer it
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let conn = TestConn::open(&ops, 1);
+        conn.send(&ops, &gate, &[probe(1)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(decode(conn.next_buf()), vec![direct(probe(1))]);
+        assert_eq!(stats.read().batches, 1);
+        drop(ops); // every handle gone: the scheduler returns
+        handle.join().unwrap();
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0, "budget returned");
+    }
+
+    #[test]
+    fn scheduler_batches_queued_ops_across_connections() {
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        a.send(&ops, &gate, &[probe(1)]);
+        b.send(&ops, &gate, &[probe(2)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(decode(a.next_buf()), vec![direct(probe(1))]);
+        assert_eq!(decode(b.next_buf()), vec![direct(probe(2))]);
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!((stats.batches, stats.queries), (1, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn scheduler_caps_a_backlog_at_max_batch_and_keeps_fifo() {
+        // global arrival order: a0 a1 a2 b0 | b1 a3 a4 a5 | b2 b3, so
+        // the cap of 4 cuts batches of 4 and 4, and the drained
+        // channel flushes the last 2
+        let (sched, gate, stats) = scheduler(ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        });
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        let qa: Vec<RangeQuery> = (0..6).map(probe).collect();
+        let qb: Vec<RangeQuery> = (6..10).map(probe).collect();
+        a.send(&ops, &gate, &qa[..3]);
+        b.send(&ops, &gate, &qb[..2]);
+        a.send(&ops, &gate, &qa[3..]);
+        b.send(&ops, &gate, &qb[2..]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        // one reply buffer per connection per batch, in request order
+        let want = |qs: &[RangeQuery]| qs.iter().map(|&q| direct(q)).collect::<Vec<_>>();
+        assert_eq!(decode(a.next_buf()), want(&qa[..3]));
+        assert_eq!(decode(a.next_buf()), want(&qa[3..]));
+        assert_eq!(decode(b.next_buf()), want(&qb[..1]));
+        assert_eq!(decode(b.next_buf()), want(&qb[1..2]));
+        assert_eq!(decode(b.next_buf()), want(&qb[2..]));
+        drop(ops);
+        handle.join().unwrap();
+        assert!(a.replies.try_recv().is_err() && b.replies.try_recv().is_err());
+        let stats = *stats.read();
+        assert_eq!(
+            (stats.batches, stats.queries, stats.largest_batch),
+            (3, 10, 4),
+            "{stats:?}"
+        );
+        assert_eq!(stats.cur_window, 4, "the cap in force");
+    }
+
+    #[test]
+    fn shed_at_gate_admits_exactly_the_global_budget() {
+        // 8 connections, 10 reads each, and nothing released: the
+        // global budget admits exactly max_pending of them
+        let gate = AdmissionGate {
+            inflight: Arc::new(AtomicUsize::new(0)),
+            conn_pending: 1_000,
+            max_pending: 16,
+        };
+        let conns: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        let read = Command {
+            index: None,
+            priority: false,
+            verb: Request::Query(RangeQuery::new(0, 99)),
+        };
+        let mut admitted = 0;
+        for conn in &conns {
+            for _ in 0..10 {
+                admitted += usize::from(!shed_at_gate(&gate, conn, &read));
+            }
+        }
+        assert_eq!(admitted, gate.max_pending);
+        // shed requests hold no budget on either counter
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), gate.max_pending);
+        let held: usize = conns.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        assert_eq!(held, gate.max_pending);
+        // writes are barriers, never gated
+        let seal = Command {
+            verb: Request::Seal,
+            ..read
+        };
+        assert!(!shed_at_gate(&gate, &conns[7], &seal));
+    }
+
+    #[test]
+    fn scheduler_with_cap_one_walks_every_query_alone() {
+        let (sched, gate, stats) = scheduler(ServeConfig {
+            max_batch: 1,
+            ..ServeConfig::default()
+        });
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let qs: Vec<RangeQuery> = (0..5).map(probe).collect();
+        a.send(&ops, &gate, &qs);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        for &q in &qs {
+            assert_eq!(decode(a.next_buf()), vec![direct(q)]);
+        }
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!(
+            (stats.batches, stats.queries, stats.largest_batch),
+            (5, 5, 1),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn scheduler_reports_its_cap_as_cur_window() {
+        let (sched, _, stats) = scheduler(ServeConfig::default());
+        assert_eq!(sched.max_batch, 64);
+        assert_eq!(stats.read().cur_window, 64);
+        // a zero cap is repaired to 1, never "flush on every push of
+        // nothing"; there are no lanes to count
+        let (sched, _, stats) = scheduler(ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        });
+        assert_eq!(sched.max_batch, 1);
+        let stats = *stats.read();
+        assert_eq!((stats.cur_window, stats.lane_high), (1, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn scheduler_ignores_the_priority_flag() {
+        // flagged and plain reads from two connections share one walk,
+        // and each connection's replies stay in request order
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        let flagged = |q| Command {
+            priority: true,
+            ..cmd(Request::Query(q))
+        };
+        a.send_cmds(
+            &ops,
+            &gate,
+            vec![flagged(probe(1)), cmd(Request::Query(probe(2)))],
+        );
+        b.send_cmds(
+            &ops,
+            &gate,
+            vec![cmd(Request::Query(probe(3))), flagged(probe(4))],
+        );
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(
+            decode(a.next_buf()),
+            vec![direct(probe(1)), direct(probe(2))]
+        );
+        assert_eq!(
+            decode(b.next_buf()),
+            vec![direct(probe(3)), direct(probe(4))]
+        );
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!((stats.batches, stats.queries), (1, 4), "{stats:?}");
+    }
+
+    #[test]
+    fn scheduler_write_barrier_flushes_earlier_reads_on_its_index() {
+        // b's first read precedes a's insert and must not see it; b's
+        // second read follows it and must
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        let q = probe(1);
+        let fresh = Interval::new(90_000, q.st + 10, q.st + 20);
+        b.send(&ops, &gate, &[q]);
+        a.send_cmds(&ops, &gate, vec![cmd(Request::Insert(fresh))]);
+        b.send(&ops, &gate, &[q]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(decode(b.next_buf()), vec![direct(q)]);
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)]);
+        let (mut want, _) = direct(q);
+        want.push(fresh.id);
+        want.sort_unstable();
+        assert_eq!(decode(b.next_buf()), vec![(want, Status::Ok)]);
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!((stats.batches, stats.writes), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn scheduler_write_on_another_index_leaves_reads_queued() {
+        // a's insert barriers index 1 only, so b's reads on index 0
+        // around it still form one batch
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        let create = Request::CreateIndex {
+            name: "side".to_string(),
+            lo: 0,
+            hi: 4_095,
+        };
+        a.send_cmds(&ops, &gate, vec![cmd(create)]);
+        b.send(&ops, &gate, &[probe(1)]);
+        let insert = Command {
+            index: Some(1),
+            ..cmd(Request::Insert(Interval::new(1, 10, 20)))
+        };
+        a.send_cmds(&ops, &gate, vec![insert]);
+        b.send(&ops, &gate, &[probe(2)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)], "created");
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)], "inserted");
+        assert_eq!(
+            decode(b.next_buf()),
+            vec![direct(probe(1)), direct(probe(2))]
+        );
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!((stats.batches, stats.writes), (1, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn scheduler_catalog_verbs_flush_only_their_own_connection() {
+        // arrival: a0 b0 a:UseIndex b1 — the catalog verb answers a0
+        // first, while b0 stays queued and batches with b1
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        a.send(&ops, &gate, &[probe(1)]);
+        b.send(&ops, &gate, &[probe(2)]);
+        a.send_cmds(
+            &ops,
+            &gate,
+            vec![cmd(Request::UseIndex("default".to_string()))],
+        );
+        b.send(&ops, &gate, &[probe(3)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(decode(a.next_buf()), vec![direct(probe(1))]);
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 0)]);
+        assert_eq!(
+            decode(b.next_buf()),
+            vec![direct(probe(2)), direct(probe(3))]
+        );
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!((stats.batches, stats.queries), (2, 3), "{stats:?}");
+    }
+
+    #[test]
+    fn scheduler_answers_an_invalid_frame_in_fifo_position() {
+        let (sched, gate, _) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let gated = |q| {
+            let c = cmd(Request::Query(q));
+            let shed = shed_at_gate(&gate, &a.inflight, &c);
+            Inbound::Request(c, shed)
+        };
+        let batch = vec![
+            gated(probe(1)),
+            Inbound::Invalid(Status::InvalidRange),
+            gated(probe(2)),
+        ];
+        ops.send(Op::Batch(a.id, batch)).unwrap();
+        let handle = std::thread::spawn(move || sched.run(rx));
+        let got: Vec<_> = (0..3).flat_map(|_| decode(a.next_buf())).collect();
+        assert_eq!(
+            got,
+            vec![
+                direct(probe(1)),
+                (Vec::new(), Status::InvalidRange),
+                direct(probe(2))
+            ]
+        );
+        drop(ops);
+        handle.join().unwrap();
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn scheduler_sheds_past_the_connection_budget_in_fifo_position() {
+        let (sched, gate, stats) = scheduler(ServeConfig {
+            conn_pending: 2,
+            ..ServeConfig::default()
+        });
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        let qa: Vec<RangeQuery> = (0..4).map(probe).collect();
+        a.send(&ops, &gate, &qa);
+        b.send(&ops, &gate, &[probe(5)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        let shed = (Vec::new(), Status::Overloaded);
+        assert_eq!(
+            decode(a.next_buf()),
+            vec![direct(qa[0]), direct(qa[1]), shed.clone(), shed]
+        );
+        assert_eq!(decode(b.next_buf()), vec![direct(probe(5))]);
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!(
+            (stats.shed, stats.batches, stats.queries),
+            (2, 1, 3),
+            "{stats:?}"
+        );
+        // every admitted slot came back; shed ones never held any
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(a.inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(b.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn scheduler_returns_a_slot_before_the_reply_goes_out() {
+        // with a budget of one, a read sent after the previous reply
+        // arrived is admitted, never shed
+        let (sched, gate, _) = scheduler(ServeConfig {
+            conn_pending: 1,
+            max_pending: 1,
+            ..ServeConfig::default()
+        });
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        for i in 0..5 {
+            a.send(&ops, &gate, &[probe(i)]);
+            assert_eq!(decode(a.next_buf()), vec![direct(probe(i))]);
+        }
+        drop(ops);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn scheduler_returns_the_budget_of_rejected_reads() {
+        // reads on an unknown index and an oversized histogram are
+        // answered with errors in FIFO position, and give back the
+        // budget the gate charged them
+        let (sched, gate, _) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let on_missing = |verb| Command {
+            index: Some(9),
+            ..cmd(verb)
+        };
+        let too_wide = Request::Histogram {
+            width: 1,
+            q: RangeQuery::new(0, 100_000),
+        };
+        a.send_cmds(
+            &ops,
+            &gate,
+            vec![
+                on_missing(Request::Query(probe(1))),
+                on_missing(Request::TopK { k: 3, q: probe(1) }),
+                cmd(too_wide),
+                cmd(Request::Query(probe(2))),
+            ],
+        );
+        let handle = std::thread::spawn(move || sched.run(rx));
+        let got: Vec<_> = (0..4).flat_map(|_| decode(a.next_buf())).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Vec::new(), Status::UnknownIndex),
+                (Vec::new(), Status::UnknownIndex),
+                (Vec::new(), Status::BadVerb),
+                direct(probe(2)),
+            ]
+        );
+        drop(ops);
+        handle.join().unwrap();
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(a.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn scheduler_fatal_answers_queued_reads_then_closes_the_connection() {
+        let (sched, gate, _) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        a.send(&ops, &gate, &[probe(1)]);
+        ops.send(Op::Fatal(a.id, Status::BadMagic)).unwrap();
+        b.send(&ops, &gate, &[probe(2)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(decode(a.next_buf()), vec![direct(probe(1))]);
+        assert_eq!(decode(a.next_buf()), vec![(Vec::new(), Status::BadMagic)]);
+        // closed while the scheduler keeps serving the others
+        a.expect_closed();
+        assert_eq!(decode(b.next_buf()), vec![direct(probe(2))]);
+        drop(ops);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn scheduler_disconnect_executes_every_queued_query_first() {
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let b = TestConn::open(&ops, 2);
+        a.send(&ops, &gate, &[probe(1)]);
+        b.send(&ops, &gate, &[probe(2)]);
+        ops.send(Op::Disconnect(a.id)).unwrap();
+        b.send(&ops, &gate, &[probe(3)]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(decode(a.next_buf()), vec![direct(probe(1))]);
+        a.expect_closed();
+        assert_eq!(decode(b.next_buf()), vec![direct(probe(2))]);
+        assert_eq!(decode(b.next_buf()), vec![direct(probe(3))]);
+        drop(ops);
+        handle.join().unwrap();
+        let stats = *stats.read();
+        assert_eq!((stats.batches, stats.queries), (2, 3), "{stats:?}");
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(a.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn scheduler_stop_flushes_pending_and_returns_with_ops_open() {
+        let (sched, gate, stats) = scheduler(ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        a.send(&ops, &gate, &[probe(1), probe(2)]);
+        ops.send(Op::Stop).unwrap();
+        let handle = std::thread::spawn(move || sched.run(rx));
+        wait_for("scheduler returned", || handle.is_finished());
+        handle.join().unwrap();
+        assert_eq!(
+            decode(a.next_buf()),
+            vec![direct(probe(1)), direct(probe(2))]
+        );
+        a.expect_closed();
+        assert_eq!(stats.read().batches, 1);
+        drop(ops);
+    }
+
+    #[test]
+    fn scheduler_idle_hook_reseals_a_dirty_index_under_the_idle_policy() {
+        let session = Session::with_retune(sharded(), hint_core::RetunePolicy::Idle);
+        let (sched, gate, stats) = scheduler_over(session, ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let q = probe(1);
+        let fresh = Interval::new(90_000, q.st + 10, q.st + 20);
+        a.send_cmds(&ops, &gate, vec![cmd(Request::Insert(fresh))]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)]);
+        // the channel is empty and stays open: the hook reseals
+        wait_for("idle reseal", || stats.read().idle_reseals == 1);
+        a.send_cmds(&ops, &gate, vec![cmd(Request::Seal)]);
+        assert_eq!(
+            trailers(a.next_buf()),
+            vec![(Status::Ok, 0)],
+            "already clean"
+        );
+        a.send(&ops, &gate, &[q]);
+        let (got, status) = decode(a.next_buf()).remove(0);
+        assert_eq!(status, Status::Ok);
+        assert!(got.contains(&fresh.id));
+        drop(ops);
+        handle.join().unwrap();
+        assert_eq!(stats.read().idle_reseals, 1, "nothing dirty after");
+    }
+
+    #[test]
+    fn scheduler_idle_hook_leaves_sealing_to_the_seal_verb_by_default() {
+        let session = Session::with_retune(sharded(), hint_core::RetunePolicy::OnSeal);
+        let (sched, gate, stats) = scheduler_over(session, ServeConfig::default());
+        let (ops, rx) = unbounded();
+        let a = TestConn::open(&ops, 1);
+        let q = probe(1);
+        let fresh = Interval::new(90_000, q.st + 10, q.st + 20);
+        a.send_cmds(&ops, &gate, vec![cmd(Request::Insert(fresh))]);
+        let handle = std::thread::spawn(move || sched.run(rx));
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)]);
+        a.send_cmds(&ops, &gate, vec![cmd(Request::Seal)]);
+        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)], "still dirty");
+        drop(ops);
+        handle.join().unwrap();
+        assert_eq!(stats.read().idle_reseals, 0);
+    }
+
+    #[test]
+    fn shed_at_gate_caps_one_connection_and_spares_the_others() {
+        let gate = AdmissionGate {
+            inflight: Arc::new(AtomicUsize::new(0)),
+            conn_pending: 3,
+            max_pending: 100,
+        };
+        let (a, b) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let read = cmd(Request::Query(RangeQuery::new(0, 99)));
+        let admitted_a = (0..5).filter(|_| !shed_at_gate(&gate, &a, &read)).count();
+        let admitted_b = (0..2).filter(|_| !shed_at_gate(&gate, &b, &read)).count();
+        assert_eq!((admitted_a, admitted_b), (3, 2));
+        assert_eq!(a.load(Ordering::Relaxed), 3);
+        assert_eq!(b.load(Ordering::Relaxed), 2);
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn shed_at_gate_meters_only_the_batched_read_verbs() {
+        // with no budget at all, every metered verb sheds and every
+        // other verb passes, and nothing is left charged
+        let gate = AdmissionGate {
+            inflight: Arc::new(AtomicUsize::new(0)),
+            conn_pending: 0,
+            max_pending: 0,
+        };
+        let conn = AtomicUsize::new(0);
+        let q = RangeQuery::new(0, 99);
+        let metered = vec![
+            Request::Query(q),
+            Request::Allen {
+                rel: hint_core::AllenRelation::Before,
+                q,
+            },
+            Request::TopK { k: 3, q },
+            Request::Histogram { width: 10, q },
+        ];
+        let barriers = vec![
+            Request::Insert(Interval::new(1, 0, 9)),
+            Request::Delete(Interval::new(1, 0, 9)),
+            Request::Seal,
+            Request::Snapshot(None),
+            Request::Restore("x.snap".to_string()),
+            Request::CreateIndex {
+                name: "x".to_string(),
+                lo: 0,
+                hi: 99,
+            },
+            Request::DropIndex("x".to_string()),
+            Request::ListIndexes,
+            Request::UseIndex("x".to_string()),
+            Request::Join { inner: 1, q },
+        ];
+        for verb in metered {
+            assert!(shed_at_gate(&gate, &conn, &cmd(verb.clone())), "{verb:?}");
+        }
+        for verb in barriers {
+            assert!(!shed_at_gate(&gate, &conn, &cmd(verb.clone())), "{verb:?}");
+        }
+        assert_eq!(conn.load(Ordering::Relaxed), 0);
+        assert_eq!(gate.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn free_list_keeps_a_bounded_number_of_bounded_buffers() {
+        let free = FreeList::default();
+        for _ in 0..FREE_BUFS + 2 {
+            let mut buf = BytesMut::with_capacity(64);
+            buf.put_slice(b"reply");
+            free.give(buf);
+        }
+        assert_eq!(free.0.lock().len(), FREE_BUFS);
+        let buf = free.take();
+        assert!(
+            buf.is_empty() && buf.capacity() >= 64,
+            "cleared, not shrunk"
+        );
+        // a huge answer's buffer is freed, not pinned
+        free.give(BytesMut::with_capacity(FREE_BUF_MAX + 1));
+        assert_eq!(free.0.lock().len(), FREE_BUFS - 1);
+        // an empty list hands out fresh buffers
+        let drained = FreeList::default();
+        assert_eq!(drained.take().capacity(), 0);
+    }
+
+    /// A writer that takes at most `step` bytes per call and fails
+    /// every third call with `Interrupted`.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut left = self.step;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+                if left == 0 {
+                    break;
+                }
+            }
+            Ok(self.step - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_all_vectored_resumes_after_short_writes() {
+        // more buffers than one drain group, some of them empty
+        let bufs: Vec<BytesMut> = (0..WRITE_DRAIN + 6)
+            .map(|i| {
+                let mut b = BytesMut::new();
+                b.put_slice(&vec![i as u8; i % 7]);
+                b
+            })
+            .collect();
+        let want: Vec<u8> = bufs.iter().flat_map(|b| b.as_slice().to_vec()).collect();
+        let mut w = Trickle {
+            out: Vec::new(),
+            step: 5,
+            calls: 0,
+        };
+        write_all_vectored(&mut w, &bufs).unwrap();
+        assert_eq!(w.out, want);
+        // a stream that stops taking bytes is an error, not a spin
+        let mut stuck = Trickle {
+            out: Vec::new(),
+            step: 0,
+            calls: 0,
+        };
+        let err = write_all_vectored(&mut stuck, &bufs).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn mean_batch_is_queries_per_batch_and_zero_when_idle() {
+        assert_eq!(BatchStats::default().mean_batch(), 0.0);
+        let stats = BatchStats {
+            batches: 4,
+            queries: 10,
+            ..BatchStats::default()
+        };
+        assert_eq!(stats.mean_batch(), 2.5);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use hint_core::{
     Session, ShardedIndex, SubsConfig,
 };
 use serve::{duplex, Client, ClientError, DuplexTransport, ServeConfig, Server, Status};
-use std::time::Duration;
 use test_support::{fuzz, shard_counts};
 
 const DOM: u64 = 8_192;
@@ -61,7 +60,10 @@ fn two_named_indexes_match_direct_library() {
         let server = start_server(
             &w.data,
             k,
-            ServeConfig::fixed(16, Duration::from_micros(200)),
+            ServeConfig {
+                max_batch: 16,
+                ..Default::default()
+            },
         );
         let mut admin = connect(&server);
         let left = admin.create_index("left", 0, DOM - 1).unwrap();

@@ -1,21 +1,20 @@
-//! QoS-lane, admission-control, and adaptive-window tests for the
-//! serving subsystem.
+//! Admission-control and batching tests for the serving subsystem.
 //!
-//! The adaptive scheduler may reorder *across* connections (lanes,
-//! round-robin fairness) and refuse work under overload — but it must
-//! never change what any single connection observes: replies stay in
-//! request order, results stay bit-identical to a direct `query_sink`
-//! at the same point in the write sequence, and shedding is a
-//! recoverable per-request answer, not a connection or server failure.
+//! The scheduler batches across connections and refuses work under
+//! overload — but it must never change what any single connection
+//! observes: replies stay in request order, results stay bit-identical
+//! to a direct `query_sink` at the same point in the write sequence,
+//! and shedding is a recoverable per-request answer, not a connection
+//! or server failure.
 
-use hint_core::env::WindowMode;
 use hint_core::{
     Domain, HintMSubs, Interval, IntervalIndex, QuerySink, RangeQuery, ScanOracle, Session,
     ShardedIndex, SubsConfig,
 };
-use serve::{duplex, Client, DuplexTransport, Request, ServeConfig, Server, Status};
+use serve::proto::encode_request;
+use serve::{duplex, Client, DuplexTransport, Request, ServeConfig, Server, Status, Transport};
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::io::Write;
 use test_support::{expect_same_results, fuzz};
 
 const DOM: u64 = 8_192;
@@ -38,7 +37,7 @@ fn connect(server: &Server) -> Client<DuplexTransport> {
 }
 
 /// `IntervalIndex` facade over a served connection (see
-/// `tests/roundtrip.rs`), here driving the adaptive scheduler.
+/// `tests/roundtrip.rs`).
 struct RemoteIndex {
     client: RefCell<Client<DuplexTransport>>,
     live: usize,
@@ -61,45 +60,34 @@ impl IntervalIndex for RemoteIndex {
     }
 }
 
-/// The adaptive controller plus lanes must be invisible to results: a
-/// served round-trip returns bit-identical answers to direct
-/// `query_sink` in every access mode, across window bounds including
-/// a cramped `[min, max]` that forces constant controller movement.
+/// Batching must be invisible to results: a served round-trip returns
+/// bit-identical answers to direct `query_sink` in every access mode,
+/// under the default cap, a cramped cap of 4 and a cap of 1.
 #[test]
-fn adaptive_scheduler_matches_direct_query_sink() {
+fn batched_scheduler_matches_direct_query_sink() {
     let w = fuzz::workload(0xa05_0001, DOM, 600, 48, 0);
     let oracle = ScanOracle::new(&w.data);
-    let settings = [
-        ServeConfig::default(),
-        ServeConfig {
-            min_window: 2,
-            max_batch: 4,
-            max_delay: Duration::from_micros(100),
+    for max_batch in [ServeConfig::default().max_batch, 4, 1] {
+        let config = ServeConfig {
+            max_batch,
             ..ServeConfig::default()
-        },
-        ServeConfig {
-            lanes: false,
-            ..ServeConfig::default()
-        },
-    ];
-    for config in settings {
-        assert_eq!(config.mode, WindowMode::Adaptive);
+        };
         let server = start_server(&w.data, 4, config);
         let remote = RemoteIndex {
             client: RefCell::new(connect(&server)),
             live: w.data.len(),
         };
-        expect_same_results("served-adaptive", &remote, &oracle, &w.queries);
+        expect_same_results("served-batched", &remote, &oracle, &w.queries);
         drop(remote);
         server.shutdown();
     }
 }
 
-/// One connection pipelines a mixed-priority script — plain queries,
-/// priority-flagged queries, bounded verbs, and writes — and every
-/// reply must arrive in request order, each query answering against
-/// exactly the index state its position in the stream implies. The
-/// high lane may only ever reorder *across* connections.
+/// One connection pipelines a mixed script — plain queries,
+/// priority-flagged queries (the bit is accepted and ignored), bounded
+/// verbs, and writes — and every reply must arrive in request order,
+/// each query answering against exactly the index state its position
+/// in the stream implies.
 #[test]
 fn mixed_priority_pipeline_preserves_per_connection_fifo() {
     let w = fuzz::workload(0xa05_0002, DOM, 500, 0, 0);
@@ -122,12 +110,12 @@ fn mixed_priority_pipeline_preserves_per_connection_fifo() {
         let st = rng.below(DOM - 64);
         let q = RangeQuery::new(st, st + 1 + rng.below(512));
         match step % 6 {
-            // plain enumeration (low lane)
+            // plain enumeration
             0 | 3 => {
                 client.send(&Request::Query(q)).unwrap();
                 expected.push(Expect::Ids(oracle.query_sorted(q)));
             }
-            // priority-flagged enumeration (high lane)
+            // priority-flagged enumeration
             1 => {
                 client.send_flagged(None, true, &Request::Query(q)).unwrap();
                 expected.push(Expect::Ids(oracle.query_sorted(q)));
@@ -141,7 +129,7 @@ fn mixed_priority_pipeline_preserves_per_connection_fifo() {
                 live.push(s);
                 expected.push(Expect::Count(1));
             }
-            // bounded verb: rides the high lane unflagged
+            // bounded verb
             4 => {
                 let k = 1 + rng.below(8) as u32;
                 client.send(&Request::TopK { k, q }).unwrap();
@@ -185,25 +173,32 @@ fn mixed_priority_pipeline_preserves_per_connection_fifo() {
     server.shutdown();
 }
 
-/// The overload scenario from the issue: a hostile connection floods
-/// enumerations far past its admission budget while a well-behaved
-/// connection asks one bounded query. The flood is shed with
-/// *recoverable* `Overloaded` trailers in FIFO position (never a
-/// dropped connection, never a panic), the bounded query completes
-/// without shedding — and both connections work fine afterwards.
+/// A client's raw halves, rejoined into a [`Transport`] so a
+/// [`Client`] can read the replies to bytes written around it.
+struct Halves<R, W>(R, W);
+
+impl<R: std::io::Read + Send + 'static, W: Write + Send + 'static> Transport for Halves<R, W> {
+    type Reader = R;
+    type Writer = W;
+
+    fn split(self) -> std::io::Result<(R, W)> {
+        Ok((self.0, self.1))
+    }
+}
+
+/// The overload scenario: a hostile connection floods enumerations far
+/// past its admission budget while a well-behaved connection asks one
+/// bounded query. The flood is shed with *recoverable* `Overloaded`
+/// trailers in FIFO position (never a dropped connection, never a
+/// panic), the bounded query completes without shedding — and both
+/// connections work fine afterwards.
 #[test]
 fn flooding_connection_is_shed_while_bounded_queries_complete() {
     let w = fuzz::workload(0xa05_0004, DOM, 400, 0, 0);
-    // a window the flood cannot fill and a deadline far enough out that
-    // shedding is deterministic: admission is the only policy in play
     let config = ServeConfig {
-        mode: WindowMode::Fixed,
-        max_batch: 1_024,
-        max_delay: Duration::from_millis(40),
-        min_window: 1,
         conn_pending: 4,
         max_pending: 64,
-        lanes: true,
+        ..ServeConfig::default()
     };
     const FLOOD: usize = 200;
     let server = start_server(&w.data, 4, config);
@@ -213,15 +208,19 @@ fn flooding_connection_is_shed_while_bounded_queries_complete() {
     // the expected bounded answer, fetched before any overload exists
     let want_top = bounded.top_k(5, q).expect("unloaded top-k");
 
-    let mut flood = connect(&server);
+    // the flood goes out as one write, so its reader decodes and gates
+    // every frame in one pass, before the scheduler can hand any budget
+    // back: admission is deterministic
+    let (client_end, server_end) = duplex();
+    server.attach(server_end);
+    let (reader, mut writer) = client_end.split().unwrap();
+    let mut frames = bytes::BytesMut::new();
     for i in 0..FLOOD {
         let st = (i as u64 * 37) % (DOM - 600);
-        flood
-            .send(&Request::Query(RangeQuery::new(st, st + 512)))
-            .unwrap();
+        encode_request(&mut frames, &Request::Query(RangeQuery::new(st, st + 512)));
     }
-    // the bounded connection's queue is all-high: lanes flush it
-    // immediately, so this completes while the flood still queues
+    writer.write_all(frames.as_slice()).unwrap();
+    let mut flood = Client::new(Halves(reader, writer)).unwrap();
     let got_top = bounded.top_k(5, q).expect("top-k under flood");
     assert_eq!(got_top, want_top, "bounded reply must not degrade");
 
@@ -242,14 +241,16 @@ fn flooding_connection_is_shed_while_bounded_queries_complete() {
     }
     assert_eq!(ok, config.conn_pending, "the admitted prefix is the budget");
     assert_eq!(shed, FLOOD - config.conn_pending);
-    let stats = server.stats();
-    assert_eq!(stats.shed, shed as u64, "stats count every shed request");
-    assert!(stats.lane_high >= 1, "the bounded query rode the high lane");
+    assert_eq!(
+        server.stats().shed,
+        shed as u64,
+        "stats count every shed request"
+    );
 
     // recoverable: both connections serve normally after the storm
     let again = bounded.top_k(5, q).expect("bounded conn after flood");
     assert_eq!(again, want_top);
-    let ids = flood.query_priority(None, q).expect("flood conn recovers");
+    let ids = flood.query(q).expect("flood conn recovers");
     let mut direct = ScanOracle::new(&w.data).query_sorted(q);
     direct.sort_unstable();
     let mut got = ids;
@@ -262,19 +263,18 @@ fn flooding_connection_is_shed_while_bounded_queries_complete() {
 }
 
 /// The global admission budget backstops many connections flooding at
-/// once: total admitted work never exceeds `max_pending`, every
-/// over-budget request is shed recoverably, and the server survives.
+/// once: every request is answered `Ok` or shed recoverably, the stats
+/// count every shed one, and the server survives. How many are admitted
+/// depends on when the scheduler hands budget back; that exactly
+/// `max_pending` are admitted while none is released is pinned by the
+/// `shed_at_gate` unit test in `server.rs`.
 #[test]
 fn global_budget_sheds_across_many_connections() {
     let w = fuzz::workload(0xa05_0005, DOM, 300, 0, 0);
     let config = ServeConfig {
-        mode: WindowMode::Fixed,
-        max_batch: 10_000,
-        max_delay: Duration::from_millis(40),
-        min_window: 1,
         conn_pending: 1_000, // per-conn budget out of the way
         max_pending: 16,
-        lanes: true,
+        ..ServeConfig::default()
     };
     let server = start_server(&w.data, 2, config);
     let conns = 8usize;
@@ -300,78 +300,24 @@ fn global_budget_sheds_across_many_connections() {
         }
     }
     assert_eq!(ok + shed, conns * per_conn);
-    assert_eq!(ok, config.max_pending, "admitted exactly the global budget");
+    // nothing is released before the first `max_pending` are gated
+    assert!(ok >= config.max_pending, "admitted {ok}");
     assert_eq!(server.stats().shed, shed as u64);
     // every connection still works
     for client in clients.iter_mut() {
-        let ids = client
-            .query_priority(None, RangeQuery::new(0, DOM - 1))
-            .unwrap();
+        let ids = client.query(RangeQuery::new(0, DOM - 1)).unwrap();
         assert_eq!(ids.len(), w.data.len());
     }
     drop(clients);
     server.shutdown();
 }
 
-/// The lanes' reason to exist: a bounded query never waits out the
-/// batch timer. Under a static window the flood cannot fill and a long
-/// deadline, a `top_k` from a quiet connection returns at once with
-/// lanes on and sits in the flood's batch until the deadline with lanes
-/// off. The two bounds are a quarter and a half of `max_delay` apart,
-/// so the assert measures the scheduling policy, not host jitter.
-#[test]
-fn lanes_let_a_bounded_query_skip_the_batch_timer() {
-    let w = fuzz::workload(0xa05_0006, DOM, 400, 0, 0);
-    const MAX_DELAY: Duration = Duration::from_millis(300);
-    const FLOOD: usize = 64;
-    let q = RangeQuery::new(100, 2_000);
-    for lanes in [true, false] {
-        let config = ServeConfig {
-            lanes,
-            ..ServeConfig::fixed(1_024, MAX_DELAY)
-        };
-        let server = start_server(&w.data, 4, config);
-        let mut bounded = connect(&server);
-        let want_top = bounded.top_k(5, q).expect("unloaded top-k");
-
-        let mut flood = connect(&server);
-        for i in 0..FLOOD {
-            let st = (i as u64 * 37) % (DOM - 600);
-            flood
-                .send(&Request::Query(RangeQuery::new(st, st + 512)))
-                .unwrap();
-        }
-        let t = Instant::now();
-        let got_top = bounded.top_k(5, q).expect("top-k under flood");
-        let waited = t.elapsed();
-        assert_eq!(got_top, want_top, "lanes {lanes}: bounded reply changed");
-        if lanes {
-            assert!(
-                waited < MAX_DELAY / 4,
-                "lanes on: top-k waited {waited:?}, the batch timer is {MAX_DELAY:?}"
-            );
-        } else {
-            assert!(
-                waited >= MAX_DELAY / 2,
-                "lanes off: top-k returned in {waited:?}, before the {MAX_DELAY:?} timer"
-            );
-        }
-        for i in 0..FLOOD {
-            let reply = flood.recv_reply(|_| {}).expect("flood replies decode");
-            assert_eq!(reply.status, Status::Ok, "lanes {lanes}: flood reply {i}");
-        }
-        drop(bounded);
-        drop(flood);
-        server.shutdown();
-    }
-}
-
 /// Admission at exactly the budget sheds nothing. On the default
-/// scheduler (adaptive window, lanes on) one connection keeps exactly
+/// scheduler one connection keeps exactly
 /// `conn_pending` queries outstanding, round after round; every batch
 /// the scheduler executes hands its budget back to the gate, so no
 /// request is ever refused. Shedding past the budget is covered by the
-/// two fixed-mode flood tests above.
+/// two flood tests above.
 #[test]
 fn pipelining_exactly_the_connection_budget_sheds_nothing() {
     let w = fuzz::workload(0xa05_0007, DOM, 300, 0, 0);

@@ -12,7 +12,6 @@ use hint_core::{
 use serve::{duplex, Client, ClientError, DuplexTransport, ServeConfig, Server, Status};
 use std::cell::RefCell;
 use std::io::Write as _;
-use std::time::Duration;
 use test_support::{expect_same_results, fuzz};
 
 const DOM: u64 = 8_192;
@@ -62,16 +61,19 @@ impl IntervalIndex for RemoteIndex {
 /// The acceptance-criteria core: a server round-trip returns
 /// bit-identical results to direct `query_sink`, verified through the
 /// shared differential harness in every access mode (enumerate / count
-/// / exists), for several batch-window settings.
+/// / exists), for several batch caps.
 #[test]
 fn roundtrip_matches_direct_query_sink() {
     let w = fuzz::workload(0x5e4e_0001, DOM, 600, 48, 0);
     let oracle = ScanOracle::new(&w.data);
-    for (max_batch, delay_us) in [(1, 0), (16, 200), (256, 1_000)] {
+    for max_batch in [1, 16, 256] {
         let server = start_server(
             &w.data,
             4,
-            ServeConfig::fixed(max_batch, Duration::from_micros(delay_us)),
+            ServeConfig {
+                max_batch,
+                ..Default::default()
+            },
         );
         let remote = RemoteIndex {
             client: RefCell::new(connect(&server)),
@@ -140,7 +142,10 @@ fn concurrent_connections_interleaving_queries_and_writes() {
     let server = start_server(
         &w.data,
         4,
-        ServeConfig::fixed(32, Duration::from_micros(300)),
+        ServeConfig {
+            max_batch: 32,
+            ..Default::default()
+        },
     );
     // the twin: every connection's writes applied (order across
     // connections is irrelevant — ids and endpoints are disjoint)
@@ -507,7 +512,10 @@ fn pipelined_replies_preserve_request_order() {
     let server = start_server(
         &w.data,
         4,
-        ServeConfig::fixed(8, Duration::from_micros(100)),
+        ServeConfig {
+            max_batch: 8,
+            ..Default::default()
+        },
     );
     let mut client = connect(&server);
     for q in &w.queries {

@@ -214,15 +214,13 @@ fn main() {
     }
     server.shutdown();
 
-    // --- 13. latency engineering: adaptive window, QoS lanes, admission -
-    // By default the scheduler's batch window is adaptive (a bounded
-    // AIMD controller replaces the static HINT_SERVE_MAX_BATCH /
-    // HINT_SERVE_MAX_DELAY_US dial), bounded verbs and FLAG_PRIORITY
-    // requests ride a high-QoS lane, and per-connection + global
-    // admission budgets shed overload with a recoverable `Overloaded`
-    // instead of queueing without bound — see docs/tuning.md and
-    // docs/protocol.md. `Client::query_priority` sets the bit; results
-    // are bit-identical to plain `query`, only the scheduling differs.
+    // --- 13. latency engineering: natural batching, admission --------
+    // The scheduler never waits on a timer: whenever it is free it runs
+    // every request already queued (up to HINT_SERVE_MAX_BATCH) as one
+    // batch, so a lone query is answered at once and load forms larger
+    // batches on its own. Per-connection + global admission budgets
+    // shed overload with a recoverable `Overloaded` instead of queueing
+    // without bound — see docs/tuning.md and docs/protocol.md.
     let sharded = ShardedIndex::build_with_domain(&data, 0, 1_000, 2, |slice, lo, hi| {
         HintMSubs::build_with_domain(slice, Domain::new(lo, hi, 6), SubsConfig::full())
     });
@@ -231,12 +229,10 @@ fn main() {
     let (client_end, server_end) = serve::duplex();
     server.attach(server_end);
     let mut client = serve::Client::new(client_end).expect("split transport");
-    let mut urgent = client
-        .query_priority(None, RangeQuery::new(22, 55))
-        .unwrap();
-    urgent.sort_unstable();
-    assert_eq!(urgent, vec![1, 2, 3, 4]); // same answer, high lane
-    println!("priority [22, 55]:    {urgent:?}");
+    let mut lone = client.query(RangeQuery::new(22, 55)).unwrap();
+    lone.sort_unstable();
+    assert_eq!(lone, vec![1, 2, 3, 4]);
+    println!("served [22, 55]:      {lone:?}");
     server.shutdown();
 
     println!("quickstart OK");

@@ -27,9 +27,10 @@ fn main() {
     let index = ShardedIndex::build_with_domain(&data, 0, dom - 1, 4, |slice, lo, hi| {
         HintMSubs::build_with_domain(slice, Domain::new(lo, hi, 10), SubsConfig::full())
     });
-    // batching knobs come from the environment when set
-    // (HINT_SERVE_MAX_BATCH / HINT_SERVE_MAX_DELAY_US; garbled values
-    // warn and fall back), else the defaults
+    // the batch cap and admission budgets come from the environment
+    // when set (HINT_SERVE_MAX_BATCH, HINT_SERVE_CONN_PENDING,
+    // HINT_SERVE_MAX_PENDING; garbled values warn and fall back), else
+    // the defaults
     let mut server = Server::start(Session::new(index), ServeConfig::from_env()).expect("start");
 
     // TCP loopback on an OS-assigned port

@@ -212,210 +212,6 @@ fn regress_lifecycle_seed_0xl33t_a5() {
     test_support::lifecycle::replay(0x1337_00a5);
 }
 
-/// Replays one seed through the serve scheduler's AIMD batch-window
-/// controller (`serve::WindowController` — pure and clock-free, so the
-/// replay is bit-exact). The seed picks the controller bounds and then
-/// drives three arrival regimes (steady trickle, bursty, bimodal)
-/// through the same feed discipline the scheduler uses — `on_arrival`
-/// per request, a full flush when the round fills the window, a
-/// deadline flush otherwise — asserting after every step that the
-/// window stays inside `[min_window, max_window]` and the derived delay
-/// never exceeds `max_delay`. The tail then holds occupancy constant
-/// and requires convergence to a tight band: a controller that
-/// sawtooths or drifts re-creates the window-64 collapse the AIMD
-/// design exists to prevent.
-fn replay_controller(seed: u64) {
-    use serve::{ControllerConfig, WindowController};
-    let mut rng = fuzz::Rng::new(seed);
-    let cfg = ControllerConfig {
-        min_window: 1 + rng.below(4) as usize,
-        max_window: 8 + rng.below(120) as usize,
-        max_delay: std::time::Duration::from_micros(100 + rng.below(900)),
-    };
-    let mut c = WindowController::new(cfg);
-    let cfg = c.config(); // post-repair bounds are the contract
-    let mut now = 0u64;
-    for regime in 0..3u32 {
-        let base_gap = 1 + rng.below(50);
-        for _ in 0..300 {
-            let arrivals = match regime {
-                0 => 1 + rng.below(3), // steady trickle
-                1 => {
-                    // bursty: long quiet runs, then a pile-up
-                    if rng.below(8) == 0 {
-                        32 + rng.below(64)
-                    } else {
-                        1
-                    }
-                }
-                _ => {
-                    // bimodal: alternating light and heavy rounds
-                    if rng.below(2) == 0 {
-                        1
-                    } else {
-                        16
-                    }
-                }
-            } as usize;
-            for _ in 0..arrivals {
-                now += rng.below(base_gap * 2);
-                c.on_arrival(now);
-            }
-            let w = c.window();
-            assert!(
-                (cfg.min_window..=cfg.max_window).contains(&w),
-                "seed {seed:#x} regime {regime}: window {w} escaped [{}, {}]",
-                cfg.min_window,
-                cfg.max_window,
-            );
-            assert!(
-                c.delay() <= cfg.max_delay,
-                "seed {seed:#x} regime {regime}: delay {:?} above the {:?} cap",
-                c.delay(),
-                cfg.max_delay,
-            );
-            if arrivals >= w {
-                c.on_flush(w, false);
-            } else {
-                c.on_flush(arrivals, true);
-            }
-        }
-    }
-    // convergence tail: constant occupancy must settle near itself
-    let g = 4 + rng.below(40) as usize;
-    let goal = g.min(cfg.max_window);
-    let step = |c: &mut WindowController| {
-        let w = c.window();
-        if g >= w {
-            c.on_flush(w, false);
-        } else {
-            c.on_flush(g, true);
-        }
-    };
-    for _ in 0..400 {
-        step(&mut c);
-    }
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-    for _ in 0..32 {
-        step(&mut c);
-        lo = lo.min(c.window());
-        hi = hi.max(c.window());
-    }
-    assert!(
-        hi - lo <= 2 && lo + 1 >= goal && hi <= (goal + 2).min(cfg.max_window),
-        "seed {seed:#x}: steady occupancy {g} did not converge \
-         (tail band [{lo}, {hi}], goal {goal})",
-    );
-}
-
-// Controller seeds. None have failed yet; every seeded controller
-// property failure (from this battery or any future proptest over the
-// AIMD policy) is shrunk and added here by its seed, forever.
-
-#[test]
-fn regress_controller_seed_0x41ad_0001() {
-    replay_controller(0x41ad_0001);
-}
-
-#[test]
-fn regress_controller_seed_0x41ad_0002() {
-    replay_controller(0x41ad_0002);
-}
-
-#[test]
-fn regress_controller_seed_0xb1b0_0003() {
-    replay_controller(0xb1b0_0003);
-}
-
-#[test]
-fn regress_controller_seed_0x7e11_7a1e() {
-    // extreme-ish seed: drives the burst regime into the window cap
-    replay_controller(0x7e11_7a1e);
-}
-
-/// Median per-request wait, in microseconds, of `arrivals` (ascending
-/// microsecond timestamps) run through the scheduler's flush rule: the
-/// open batch flushes when it holds the current window, or at its open
-/// time plus the delay in force when it opened. Without a controller
-/// the window and delay are the static `max_batch`/`max_delay`, as in
-/// the scheduler's fixed mode.
-fn median_wait_us(
-    arrivals: &[u64],
-    mut controller: Option<serve::WindowController>,
-    max_batch: usize,
-    max_delay: std::time::Duration,
-) -> u64 {
-    let mut waits = Vec::with_capacity(arrivals.len());
-    let mut batch: Vec<u64> = Vec::new();
-    let mut deadline = 0u64;
-    for &t in arrivals {
-        if !batch.is_empty() && deadline <= t {
-            if let Some(c) = &mut controller {
-                c.on_flush(batch.len(), true);
-            }
-            waits.extend(batch.drain(..).map(|a| deadline - a));
-        }
-        if let Some(c) = &mut controller {
-            c.on_arrival(t);
-        }
-        if batch.is_empty() {
-            let delay = controller.as_ref().map_or(max_delay, |c| c.delay());
-            deadline = t + delay.as_micros() as u64;
-        }
-        batch.push(t);
-        if batch.len() >= controller.as_ref().map_or(max_batch, |c| c.window()) {
-            if let Some(c) = &mut controller {
-                c.on_flush(batch.len(), false);
-            }
-            waits.extend(batch.drain(..).map(|a| t - a));
-        }
-    }
-    waits.extend(batch.drain(..).map(|a| deadline - a));
-    waits.sort_unstable();
-    waits[waits.len() / 2]
-}
-
-/// The window-64 cliff, replayed without a clock. One seeded sparse
-/// stream (exponential gaps, mean 2 ms) runs through the flush rule
-/// twice: under the controller (window 1..=64, delay cap 500 µs) and
-/// under a static 64-wide, 500 µs window. Gaps that wide almost never
-/// fill even two slots within 500 µs, so the static window
-/// deadline-flushes nearly every batch and its median request waits
-/// the full 500 µs. The controller must keep its median clearly under
-/// that floor; one that stops shrinking on deadline flushes parks at
-/// window 2 and waits the full delay too.
-#[test]
-fn regress_controller_sparse_arrivals_avoid_the_window_64_cliff() {
-    use serve::{ControllerConfig, WindowController};
-    const MAX_DELAY: std::time::Duration = std::time::Duration::from_micros(500);
-    const MEAN_GAP_US: f64 = 2_000.0;
-    let mut rng = fuzz::Rng::new(0xc11f_0064);
-    let mut now = 0u64;
-    let arrivals: Vec<u64> = (0..2_000)
-        .map(|_| {
-            let u = (rng.below(1 << 53) + 1) as f64 / (1u64 << 53) as f64;
-            now += (-u.ln() * MEAN_GAP_US) as u64;
-            now
-        })
-        .collect();
-    let controller = WindowController::new(ControllerConfig {
-        min_window: 1,
-        max_window: 64,
-        max_delay: MAX_DELAY,
-    });
-    let adaptive = median_wait_us(&arrivals, Some(controller), 64, MAX_DELAY);
-    let fixed = median_wait_us(&arrivals, None, 64, MAX_DELAY);
-    assert_eq!(
-        fixed,
-        MAX_DELAY.as_micros() as u64,
-        "the static window must deadline-flush at this arrival rate"
-    );
-    assert!(
-        adaptive as f64 <= 0.9 * fixed as f64,
-        "controller median wait {adaptive} us reproduced the static window's {fixed} us"
-    );
-}
-
 /// Degenerate-workload replay: tiny domains, point intervals, and a
 /// single-interval dataset — shapes that historically break routing and
 /// boundary math first.
