@@ -12,8 +12,8 @@
 //!   ablation        extra: comparison counts vs m (Lemma 4 / Theorem 2)
 //!   countmode       extra: enumerate vs count vs exists throughput
 //!   cachelayout     extra: nested-Vec vs sealed-CSR storage + query_batch
-//!   shardscale      extra: sharded index + worker pool throughput vs K
-//!   retune          extra: persistent worker pool vs inline walk + adaptive per-shard m
+//!   shardscale      extra: sharded index, session + pool fan-out throughput vs K
+//!   retune          extra: pool fan-out vs inline walk + adaptive per-shard m
 //!   snapshot        extra: durable snapshot save bandwidth + restore vs rebuild
 //!   all             run everything (paper order)
 //!

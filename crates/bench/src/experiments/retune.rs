@@ -1,5 +1,5 @@
 //! Pool-dispatch + serve-time re-tuning study (beyond the paper's
-//! figures): the persistent shard-worker pool against the inline walk,
+//! figures): the shard pool's fan-out against the inline walk,
 //! and adaptive per-shard `m` re-tuning against a mis-tuned baseline on
 //! a skewed query-extent mix.
 //!
@@ -9,9 +9,10 @@
 //! * **inline** — the index's own `query_batch_merge`, each shard's
 //!   sub-batch drained on the calling thread with no threads or forks:
 //!   the floor;
-//! * **pool** — the persistent, optionally core-pinned shard workers
-//!   (`ShardPool::query_batch_merge`), batches dispatched over channels
-//!   and per-shard forks merged back in shard order.
+//! * **pool** — the shard pool's fan-out
+//!   (`ShardPool::query_batch_merge`): each shard lent over a channel
+//!   to its persistent helper thread, per-shard forks merged back in
+//!   shard order.
 //!
 //! Results are asserted bit-identical across both before anything is
 //! timed.

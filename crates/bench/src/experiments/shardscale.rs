@@ -1,14 +1,16 @@
 //! Shard-scaling study (beyond the paper's figures): query throughput of
-//! a `ShardedIndex` and of the `ShardPool` over it vs shard count.
+//! a `ShardedIndex`, and of the `Session` and `ShardPool` over it, vs
+//! shard count.
 //!
 //! PR 2's sealed CSR arenas made every HINT^m variant immutable and
 //! trivially shardable by domain range; this experiment quantifies the
 //! serving-side payoff. The domain is split into K ∈ {1, 2, 4, 8}
 //! contiguous shards (boundary-crossing intervals replicated with
 //! dedup-on-emit). A batch is routed once; the index drains it shard by
-//! shard on the calling thread, while the pool fans it out to one
-//! persistent worker per shard and merges the per-shard forks back in
-//! shard order.
+//! shard on the calling thread, while the pool's fan-out lends each
+//! shard to one persistent helper thread and merges the per-shard forks
+//! back in shard order. The session picks between those two routes per
+//! batch, by measured cost.
 //!
 //! Five execution modes per (dataset, extent, K):
 //!
@@ -16,18 +18,17 @@
 //!   routing overhead floor (no parallelism; should stay flat with K);
 //! * **batch** — the index's trait-level `query_batch`, draining each
 //!   shard's sub-batch into per-query `Vec`s on the calling thread;
-//! * **merge** — the pool's typed `query_batch_merge` with zero-copy
-//!   `HandleSink` forks: comparison-free runs cross the fork/merge
-//!   boundary as arena-slice handles and nothing is materialized — the
-//!   route and the shape the wire server drives (its `WireSink` encodes
-//!   frames straight from the arena slices). An untimed in-run
-//!   differential pins every query's materialized handle stream to the
-//!   index's solo id sequence;
+//! * **merge** — `Session::query_batch_merge` with zero-copy
+//!   `HandleSink`s: comparison-free runs reach the sinks as arena-slice
+//!   handles and nothing is materialized — the route and the shape the
+//!   wire server drives (its `WireSink` encodes frames straight from the
+//!   arena slices). An untimed in-run differential pins every query's
+//!   materialized handle stream to the index's solo id sequence;
 //! * **count** — the index's `query_batch_merge` with `CountSink`s: the
 //!   pure cost of the sharded level walks, no result copying at all;
-//! * **pool** — the pool's `query_batch_merge` with collecting `Vec`
-//!   forks: every sub-batch takes a channel round-trip to its shard's
-//!   owning worker.
+//! * **pool** — the pool's fan-out `query_batch_merge` with collecting
+//!   `Vec` forks: every sub-batch takes a channel round-trip to its
+//!   shard's helper thread.
 //!
 //! A separate table measures **batched ingest**: a burst of time-ordered
 //! appends (landing at the top of the domain, as streaming interval data
@@ -37,7 +38,7 @@
 //! entries instead of `n`: ingest throughput scales near-linearly with
 //! the shard count, on any hardware, with no thread parallelism
 //! involved. This is sharding's headline single-core win; on multi-core
-//! hardware the pooled columns additionally scale through the workers,
+//! hardware the fanned-out columns additionally scale through the helpers,
 //! and per-shard hierarchies are `log2 K` levels shallower at the same
 //! bottom-partition width (`m_shard = m - log2 K`) so walk-bound query
 //! batches lean out as K grows.
@@ -57,7 +58,9 @@ use crate::measure::{
     merge_handle_throughput, pool_batch_throughput, query_throughput, time,
 };
 use crate::RunConfig;
-use hint_core::{Domain, HintMSubs, IntervalIndex, ShardPool, ShardedIndex, SubsConfig};
+use hint_core::{
+    Domain, HintMSubs, IntervalIndex, RetunePolicy, Session, ShardedIndex, SubsConfig,
+};
 use std::fmt::Write as _;
 use workloads::realistic::RealDataset;
 use workloads::synthetic::SyntheticConfig;
@@ -125,7 +128,7 @@ pub fn run(cfg: &RunConfig) {
     let mut builds = String::new();
     let mut ingests = String::new();
     // CI smoke gate (HINT_READPATH_GATE=1): the merged read path (the
-    // pool's handle fork/merge, the route the server drives) must hold
+    // session's handle batches, the route the server drives) must hold
     // at least 80% of solo throughput at K=4 on every row, or the run
     // exits nonzero — the regression tripwire for the batch planner /
     // tiled walk / zero-copy merge path. The margin is real
@@ -163,7 +166,7 @@ pub fn run(cfg: &RunConfig) {
         // keeps the unsharded index's bottom-partition width by dropping
         // log2(K) levels (same resolution, shallower walks — the whole
         // point of giving every shard 1/K of the domain)
-        let mut indexes: Vec<(usize, ShardedIndex<HintMSubs>, ShardPool<HintMSubs>)> = Vec::new();
+        let mut indexes: Vec<(usize, ShardedIndex<HintMSubs>, Session<HintMSubs>)> = Vec::new();
         for &k in &SHARDS {
             let shard_m = m.saturating_sub(k.trailing_zeros()).max(1);
             let (t_build, sharded) = time(|| {
@@ -205,8 +208,8 @@ pub fn run(cfg: &RunConfig) {
                 sharded.replicated(),
                 mb(sharded.size_bytes()),
             );
-            let pool = ShardPool::new(sharded.clone());
-            indexes.push((k, sharded, pool));
+            let session = Session::with_retune(sharded.clone(), RetunePolicy::Off);
+            indexes.push((k, sharded, session));
         }
         // batched ingest: a burst of time-ordered appends (top 1/8 of the
         // domain — they land in the last shard for every K in the sweep)
@@ -265,12 +268,13 @@ pub fn run(cfg: &RunConfig) {
         for extent in EXTENTS {
             let queries = uniform_queries(&ds, extent, cfg);
             let mut base_batch_qps = 0.0f64;
-            for (k, sharded, pool) in &indexes {
+            for (k, sharded, session) in &indexes {
                 let solo = best_of(|| query_throughput(sharded, queries.queries()));
                 let batch = best_of(|| batch_throughput(sharded, queries.queries(), BATCH));
-                let merge = best_of(|| merge_handle_throughput(pool, queries.queries(), BATCH));
+                let merge = best_of(|| merge_handle_throughput(session, queries.queries(), BATCH));
                 let count = best_of(|| merge_count_throughput(sharded, queries.queries(), BATCH));
-                let pooled = best_of(|| pool_batch_throughput(pool, queries.queries(), BATCH));
+                let pooled =
+                    best_of(|| pool_batch_throughput(session.pool(), queries.queries(), BATCH));
                 assert_eq!(
                     solo.results, batch.results,
                     "{} K={k}: batch diverged",
@@ -283,7 +287,7 @@ pub fn run(cfg: &RunConfig) {
                 );
                 // untimed: the handle streams must materialize to the
                 // exact per-query id sequences the solo path produces
-                assert_handle_merge_matches_solo(pool, sharded, queries.queries(), BATCH);
+                assert_handle_merge_matches_solo(session, sharded, queries.queries(), BATCH);
                 assert_eq!(
                     solo.results, count.results,
                     "{} K={k}: count diverged",
@@ -291,7 +295,7 @@ pub fn run(cfg: &RunConfig) {
                 );
                 assert_eq!(
                     solo.results, pooled.results,
-                    "{} K={k}: worker pool diverged",
+                    "{} K={k}: pool fan-out diverged",
                     ds.name
                 );
                 if *k == 1 {
@@ -360,7 +364,7 @@ pub fn run(cfg: &RunConfig) {
     }
     let json = format!(
         "{{\n  \"experiment\": \"shardscale\",\n  \"workload\": \"enumerate + count, solo vs \
-         batched, sharded index and worker pool\",\n  \"config\": {{\"scale_mul\": {}, \"queries\": {}, \
+         batched, sharded index, session and pool fan-out\",\n  \"config\": {{\"scale_mul\": {}, \"queries\": {}, \
          \"max_m\": {}, \"seed\": {}, \"batch\": {}, \"repeats\": {}}},\n  \
          \"builds\": [{}\n  ],\n  \"ingest\": [{}\n  ],\n  \"rows\": [{}\n  ]\n}}\n",
         cfg.scale_mul, cfg.queries, cfg.max_m, cfg.seed, BATCH, REPEATS, builds, ingests, rows

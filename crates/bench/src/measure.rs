@@ -1,7 +1,7 @@
 //! Timing utilities: build-time and query-throughput measurement in the
 //! paper's units (seconds to build, queries/second to search).
 
-use hint_core::{IntervalId, IntervalIndex, RangeQuery};
+use hint_core::{IntervalId, IntervalIndex, MutableIndex, RangeQuery};
 use std::time::Instant;
 
 /// Result of a throughput measurement.
@@ -136,7 +136,7 @@ pub fn batch_count_throughput<I: IntervalIndex + ?Sized>(
 /// The shared batched-enumeration timing loop: drives `queries` through
 /// `run(chunk, bufs)` in windows of `batch` collecting-`Vec` sinks
 /// (reused across windows), totalling results. Every batched
-/// enumeration measurement — inline walk, worker pool, a served
+/// enumeration measurement — inline walk, pool fan-out, a served
 /// session — is this loop with a different `run`.
 pub fn batched_throughput_with(
     queries: &[RangeQuery],
@@ -176,17 +176,17 @@ pub fn merge_batch_throughput<I: IntervalIndex>(
     })
 }
 
-/// Batched-query throughput through the shard-worker pool's typed
-/// merge path with **zero-copy [`HandleSink`](hint_core::HandleSink)
-/// forks**: the read path as the wire server drives it. Comparison-free
-/// runs cross the fork/merge boundary as arena-slice handles (O(1) per
-/// run), the merge concatenates run lists in shard order (O(runs), not
-/// O(ids)), and nothing is materialized — the consumer encodes frames
-/// straight from the arena slices (`serve`'s `WireSink`). Use
-/// [`assert_handle_merge_matches_solo`] to pin the stream's content to
-/// the solo path's, id for id.
-pub fn merge_handle_throughput<I: IntervalIndex + Send + 'static>(
-    pool: &hint_core::ShardPool<I>,
+/// Batched-query throughput through `Session::query_batch_merge` with
+/// **zero-copy [`HandleSink`](hint_core::HandleSink)s**: the read path
+/// as the wire server drives it, each batch on the route the session
+/// measured cheaper. Comparison-free runs reach the sinks as arena-slice
+/// handles (O(1) per run; on the fan-out route the merge concatenates
+/// run lists in shard order, O(runs), not O(ids)), and nothing is
+/// materialized — the consumer encodes frames straight from the arena
+/// slices (`serve`'s `WireSink`). Use [`assert_handle_merge_matches_solo`]
+/// to pin the stream's content to the solo path's, id for id.
+pub fn merge_handle_throughput<I: MutableIndex + Send + Sync + 'static>(
+    session: &hint_core::Session<I>,
     queries: &[RangeQuery],
     batch: usize,
 ) -> Throughput {
@@ -200,7 +200,7 @@ pub fn merge_handle_throughput<I: IntervalIndex + Send + 'static>(
         for s in sinks.iter_mut() {
             s.clear();
         }
-        pool.query_batch_merge(chunk, sinks);
+        session.query_batch_merge(chunk, sinks);
         results += sinks.iter().map(|s| s.len() as u64).sum::<u64>();
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -211,12 +211,12 @@ pub fn merge_handle_throughput<I: IntervalIndex + Send + 'static>(
 }
 
 /// Untimed differential for the zero-copy merge path: every query's
-/// [`HandleSink`](hint_core::HandleSink) stream forked and merged by
-/// `pool`, materialized, must be the exact id sequence the solo `query`
-/// path of `index` (the index the pool was built from) produces. Panics
-/// on the first divergence.
-pub fn assert_handle_merge_matches_solo<I: IntervalIndex + Send + 'static>(
-    pool: &hint_core::ShardPool<I>,
+/// [`HandleSink`](hint_core::HandleSink) stream answered by `session`,
+/// materialized, must be the exact id sequence the solo `query` path of
+/// `index` (the index the session was built from) produces. Panics on
+/// the first divergence.
+pub fn assert_handle_merge_matches_solo<I: MutableIndex + Send + Sync + 'static>(
+    session: &hint_core::Session<I>,
     index: &hint_core::ShardedIndex<I>,
     queries: &[RangeQuery],
     batch: usize,
@@ -225,7 +225,7 @@ pub fn assert_handle_merge_matches_solo<I: IntervalIndex + Send + 'static>(
     let mut solo: Vec<IntervalId> = Vec::new();
     for chunk in queries.chunks(batch.max(1)) {
         let mut sinks: Vec<HandleSink> = vec![HandleSink::new(); chunk.len()];
-        pool.query_batch_merge(chunk, &mut sinks);
+        session.query_batch_merge(chunk, &mut sinks);
         for (q, sink) in chunk.iter().zip(sinks) {
             solo.clear();
             index.query(*q, &mut solo);
@@ -264,11 +264,11 @@ pub fn merge_count_throughput<I: IntervalIndex>(
     }
 }
 
-/// Batched-query throughput through the persistent shard-worker pool
-/// (`ShardPool::query_batch_merge`): per-shard `Vec` forks dispatched
-/// over channels to the long-lived, shard-owning workers and merged back
-/// in shard order — zero per-batch thread spawns.
-pub fn pool_batch_throughput<I: IntervalIndex + Send + 'static>(
+/// Batched-query throughput through the shard pool's fan-out
+/// (`ShardPool::query_batch_merge`): every active shard lent over a
+/// channel to its long-lived helper thread with per-shard `Vec` forks,
+/// merged back in shard order — zero per-batch thread spawns.
+pub fn pool_batch_throughput<I: IntervalIndex + Send + Sync + 'static>(
     pool: &hint_core::ShardPool<I>,
     queries: &[RangeQuery],
     batch: usize,

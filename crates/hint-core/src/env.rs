@@ -1,5 +1,6 @@
 //! Hardened environment-variable parsing for the workspace's tuning
-//! knobs (`HINT_SHARD_PIN`, the `HINT_SERVE_*` family).
+//! knobs (the `HINT_SERVE_*` family, `HINT_MAX_INDEXES`,
+//! `HINT_SNAPSHOT_CHUNK`).
 //!
 //! Before this module, an unparsable knob silently fell back to its
 //! default — a deployment that exported `HINT_SERVE_MAX_BATCH=four` got
@@ -111,25 +112,25 @@ pub fn var_or<T: FromStr + Display>(
 mod tests {
     use super::*;
 
-    fn threads(raw: &str) -> Result<usize, EnvError> {
-        parse("HINT_SHARD_THREADS", raw, "must be >= 1", |&n: &usize| {
+    fn max_batch(raw: &str) -> Result<usize, EnvError> {
+        parse("HINT_SERVE_MAX_BATCH", raw, "must be >= 1", |&n: &usize| {
             n >= 1
         })
     }
 
     #[test]
     fn valid_values_parse() {
-        assert_eq!(threads("4"), Ok(4));
-        assert_eq!(threads(" 16 "), Ok(16)); // whitespace tolerated
-        assert_eq!(threads("1"), Ok(1));
+        assert_eq!(max_batch("4"), Ok(4));
+        assert_eq!(max_batch(" 16 "), Ok(16)); // whitespace tolerated
+        assert_eq!(max_batch("1"), Ok(1));
     }
 
     #[test]
     fn garbage_is_unparsable() {
         for raw in ["four", "", "4x", "-2", "1.5", "0x10"] {
-            match threads(raw) {
+            match max_batch(raw) {
                 Err(EnvError::Unparsable { name, raw: got }) => {
-                    assert_eq!(name, "HINT_SHARD_THREADS");
+                    assert_eq!(name, "HINT_SERVE_MAX_BATCH");
                     assert_eq!(got, raw);
                 }
                 other => panic!("{raw:?} should be unparsable, got {other:?}"),
@@ -139,7 +140,7 @@ mod tests {
 
     #[test]
     fn constraint_violations_are_invalid() {
-        match threads("0") {
+        match max_batch("0") {
             Err(EnvError::Invalid { constraint, .. }) => {
                 assert_eq!(constraint, "must be >= 1");
             }
@@ -149,10 +150,10 @@ mod tests {
 
     #[test]
     fn errors_render_the_variable_and_value() {
-        let msg = threads("four").unwrap_err().to_string();
-        assert!(msg.contains("HINT_SHARD_THREADS"), "{msg}");
+        let msg = max_batch("four").unwrap_err().to_string();
+        assert!(msg.contains("HINT_SERVE_MAX_BATCH"), "{msg}");
         assert!(msg.contains("four"), "{msg}");
-        let msg = threads("0").unwrap_err().to_string();
+        let msg = max_batch("0").unwrap_err().to_string();
         assert!(msg.contains("must be >= 1"), "{msg}");
     }
 

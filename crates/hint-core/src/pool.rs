@@ -1,75 +1,67 @@
-//! Persistent shard-worker pool: one long-lived thread per shard,
-//! optionally pinned to a core, each **owning** its shard outright.
+//! The shard pool: the caller owns every shard, and one helper thread
+//! per shard walks lent shards when a batch fans out.
 //!
-//! [`ShardPool`] is the workspace's one parallel read route: the only
-//! code that forks per-shard sinks, runs them on several threads and
-//! merges them back. A [`ShardedIndex`] on its own drains a batch shard
-//! by shard on the calling thread. [`ShardPool::new`] moves each shard
-//! into a dedicated worker thread that lives for the pool's lifetime,
-//! and batches are *dispatched* to the workers over channels as boxed
-//! task closures — zero per-batch spawns, and every shard's arenas are
-//! only ever walked (and mutated) by the one thread that owns them,
-//! which keeps them hot in that core's cache. Routing and the per-shard
-//! walks and write legs are the same code the index itself runs
-//! ([`crate::shard`]). With `HINT_SHARD_PIN=1` each
-//! worker additionally pins itself to core `worker_index mod cores`
-//! (best-effort via `taskset(1)` on Linux — the crate forbids `unsafe`,
-//! so the `sched_setaffinity` syscall is reached through the userland
-//! tool; a no-op when unavailable or on other platforms).
+//! [`ShardPool::new`] keeps each shard of a [`ShardedIndex`] as an
+//! `Arc<Shard<I>>` on the calling thread — in the serving stack, the
+//! scheduler — and spawns one long-lived helper thread per shard. Reads
+//! take one of two routes, and both share the index's own routing and
+//! per-shard walks ([`crate::shard`]):
 //!
-//! ## Dispatch strategies
+//! * **Inline** ([`ShardPool::query_sink_pooled`], the `dyn`
+//!   [`IntervalIndex::query_batch`] and [`crate::Session`]'s inline
+//!   route): the batch is routed once and each shard's sub-batch is
+//!   drained straight into the callers' sinks, in shard order, on the
+//!   calling thread. No thread hop, nothing forked.
+//! * **Fan-out** ([`ShardPool::query_batch_merge`]): every active shard
+//!   is *lent* to its helper as an `Arc` clone, with its routed
+//!   sub-batch and one sink fork per entry; the filled forks come back
+//!   and are merged on the calling thread in ascending shard order —
+//!   bit-identical to the inline route. Bounded sinks
+//!   ([`crate::FirstK`], [`crate::ExistsSink`];
+//!   [`MergeableSink::is_bounded`]) are *staged* in shard order, so a
+//!   query whose sink is already saturated is not sent to the remaining
+//!   shards at all.
 //!
-//! * **Unbounded sinks** (collect, count, wire encoders): the routed
-//!   sub-batches are dispatched to every active shard at once and the
-//!   returned forks are merged on the calling thread in ascending shard
-//!   order — bit-identical to the sequential
-//!   [`ShardedIndex::query_sink`] loop.
-//! * **Bounded sinks** ([`crate::FirstK`], [`crate::ExistsSink`];
-//!   [`MergeableSink::is_bounded`]): dispatch is *staged* in shard
-//!   order, and a query whose sink is already saturated is not sent to
-//!   the remaining shards at all — the saturation signal propagates to
-//!   idle workers as "no work", instead of each worker scanning for
-//!   results the merge would then discard. [`ShardPool::stats`] counts
-//!   the suppressed dispatches.
+//! On either route, [`ShardPool::stats`] counts the `(query, shard)`
+//! entries walked and the saturated ones skipped. [`crate::Session`]
+//! picks the route per batch, by measured cost.
 //!
-//! Writes route to the owning workers as mutation tasks (each worker
-//! mutates only its own shard; per-worker channel FIFO keeps every
-//! write ordered before any later batch), `seal` broadcasts a reseal
-//! barrier, and [`ShardPool::retune_shard`] rebuilds one shard at the
-//! `m` the §3.3 cost model picks for its observed query-extent mix —
-//! on the worker that owns it. [`ShardPool::into_index`] shuts the
-//! workers down and reassembles the [`ShardedIndex`].
+//! ## Ownership
 //!
-//! ## One read route
-//!
-//! Every read — batched, bounded or solo — queues on the worker that
-//! owns its shard, behind any earlier write to that shard. A shard is
-//! never walked off its owner's thread, so reads need no published copy
-//! of the shard and writes need no republication: per-worker FIFO alone
-//! gives read-your-writes.
+//! Writes, retunes and size queries run on the calling thread, directly
+//! on the shards (writes through `Arc::get_mut`). That always succeeds,
+//! because a lent `Arc` never outlives the call that lent it: a fan-out
+//! waits for every helper it dispatched — also when it fails — and a
+//! helper drops its clone before it replies or hangs up, even when its
+//! walk panics. So between calls the caller holds the only reference to
+//! every shard, a read sees every earlier write by program order alone,
+//! and no write is ever queued. The helpers do the heavy whole-shard
+//! work in parallel: [`ShardPool::seal_all`] hands each shard to its
+//! helper by value and takes it back, [`ShardPool::clone_index`] lends
+//! each one to be cloned, and a dropped pool has each helper drop its
+//! own shard.
 
 use crate::interval::{Interval, IntervalId, RangeQuery, Time};
-use crate::shard::{MutableIndex, Routed, Router, Shard, ShardedIndex};
+use crate::shard::{self, MutableIndex, Routed, Router, Shard, ShardedIndex};
 use crate::sink::{MergeableSink, QuerySink};
 use crate::stats::ExtentMix;
 use crate::IntervalIndex;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// A recoverable worker-pool failure, surfaced as a value instead of
+/// A recoverable fan-out failure, surfaced as a value instead of
 /// crashing the process. A serving layer maps this to an error reply on
-/// one request; the pool itself stays up (panicking tasks are caught at
-/// the task boundary, so the worker keeps its shard and later requests
-/// proceed normally).
+/// one request; the pool itself stays up (a panicking walk is caught on
+/// its helper, which keeps serving).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolError {
-    /// Shard `shard`'s worker did not complete the request: the task
-    /// panicked mid-reply, or the worker thread is gone. State touched
-    /// by the failing request (sink contents, a half-routed write) is
-    /// unspecified; the shard itself remains owned and serviceable.
+    /// The helper walking shard `shard`'s sub-batch did not reply: the
+    /// walk panicked, or the helper thread is gone. Sink contents are
+    /// unspecified; the shard itself is untouched and still owned by the
+    /// caller.
     WorkerDied {
         /// Index of the failing shard.
         shard: usize,
@@ -88,87 +80,76 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// A unit of work dispatched to a shard worker. The closure runs on the
-/// worker thread with exclusive access to the shard it owns.
-type Task<I> = Box<dyn FnOnce(&mut Shard<I>) + Send + 'static>;
+/// One lent walk, run on a helper thread.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One worker: its task channel and join handle. Dropping the sender
-/// ends the worker's receive loop; joining returns the shard.
-struct Worker<I> {
-    tasks: Option<Sender<Task<I>>>,
-    handle: Option<JoinHandle<Shard<I>>>,
+/// Why `Arc::get_mut` / `Arc::into_inner` cannot fail on a pool shard.
+const LENT: &str = "a lent shard outlived the batch that lent it";
+
+/// A shard lent to a helper for one walk, with the channel the result
+/// goes back on. Fields drop in declaration order, so a walk that
+/// panics releases the lent `Arc` before the reply channel hangs up,
+/// and [`repay`](Self::repay) releases it before replying: the owner
+/// never sees a reply, or a closed channel, while a clone is still out.
+struct Loan<I, T> {
+    shard: Arc<Shard<I>>,
+    reply: Sender<(usize, T)>,
+    j: usize,
+}
+
+impl<I, T> Loan<I, T> {
+    fn repay(self, out: T) {
+        let Loan { shard, reply, j } = self;
+        drop(shard);
+        let _ = reply.send((j, out));
+    }
 }
 
 /// Dispatch counters (see [`ShardPool::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Batch dispatches executed (solo queries count as batches of 1).
+    /// Batches executed on either route (solo queries count as batches
+    /// of 1).
     pub batches: u64,
+    /// Batches walked on the calling thread (the inline route).
+    pub inline: u64,
     /// `(query, shard)` entries produced by routing.
     pub routed: u64,
-    /// Entries actually dispatched to a worker.
+    /// Entries actually walked, on either route.
     pub dispatched: u64,
-    /// Entries suppressed because the query's sink was already
-    /// saturated when its shard's turn came (bounded-sink staging).
+    /// Entries skipped because the query's sink was already saturated
+    /// when its shard's turn came.
     pub skipped: u64,
 }
 
 #[derive(Default)]
 struct PoolCounters {
     batches: AtomicU64,
+    inline: AtomicU64,
     routed: AtomicU64,
     dispatched: AtomicU64,
     skipped: AtomicU64,
 }
 
-/// True when `HINT_SHARD_PIN=1`: workers pin themselves to cores.
-fn pinning_enabled() -> bool {
-    crate::env::var_or("HINT_SHARD_PIN", 0u8, "0 or 1", |&v| v <= 1) == 1
-}
-
-/// Best-effort core pinning for the calling thread. The crate forbids
-/// `unsafe`, so instead of the `sched_setaffinity` syscall this shells
-/// out to `taskset(1)` with the thread's own tid (from
-/// `/proc/thread-self`); any failure — no procfs, no taskset, denied —
-/// leaves the thread unpinned, which is always correct.
-#[cfg(target_os = "linux")]
-fn pin_current_thread(worker: usize) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let core = worker % cores;
-    let Ok(link) = std::fs::read_link("/proc/thread-self") else {
-        return;
-    };
-    let Some(tid) = link.file_name().and_then(|s| s.to_str()) else {
-        return;
-    };
-    let _ = std::process::Command::new("taskset")
-        .args(["-pc", &core.to_string(), tid])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status();
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_worker: usize) {}
-
-/// A persistent worker pool over the shards of a [`ShardedIndex`]: the
-/// serving-side executor. See the module docs for the dispatch model.
+/// The caller-owned shards of a [`ShardedIndex`] plus one helper thread
+/// per shard: the serving-side executor. See the module docs for the
+/// two read routes and the ownership rules.
 ///
 /// The pool exposes the same query surface as the index it was built
 /// from ([`IntervalIndex`] plus the typed
-/// [`query_batch_merge`](Self::query_batch_merge) fast path) with
+/// [`query_batch_merge`](Self::query_batch_merge) fan-out) with
 /// bit-identical results, and the same write surface when the inner
 /// index is [`MutableIndex`].
-pub struct ShardPool<I> {
-    workers: Vec<Worker<I>>,
-    /// The routing table mirrored out of the moved shards.
+pub struct ShardPool<I: Send + Sync + 'static> {
+    shards: Vec<Arc<Shard<I>>>,
+    /// Each helper's job channel; helper `j` walks shard `j`.
+    jobs: Vec<Sender<Job>>,
+    helpers: Vec<JoinHandle<()>>,
+    /// The routing table of `shards`.
     router: Router,
     /// Live (deduplicated) interval count, maintained by the write path.
     live: usize,
     counters: PoolCounters,
-    /// Tasks that panicked on a worker (caught at the task boundary;
-    /// the workers survive them). Shared with the worker threads.
-    task_panics: Arc<AtomicU64>,
     /// Pooled per-shard routing buffers, reused across batches so steady
     /// dispatch allocates no plan `Vec`s at all. `try_lock` only: a
     /// concurrent batch that loses the race plans into a fresh local
@@ -176,84 +157,38 @@ pub struct ShardPool<I> {
     scratch: Mutex<Vec<Vec<Routed>>>,
 }
 
-impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
-    /// Moves every shard of `index` into its own worker thread. With
-    /// `HINT_SHARD_PIN=1`, worker `j` pins itself to core `j mod cores`.
+impl<I: IntervalIndex + Send + Sync + 'static> ShardPool<I> {
+    /// Takes ownership of `index`'s shards and spawns one helper thread
+    /// per shard.
     pub fn new(index: ShardedIndex<I>) -> Self {
         let (shards, live) = index.into_parts();
-        let pin = pinning_enabled();
         let router = Router::of(&shards);
-        let task_panics = Arc::new(AtomicU64::new(0));
-        let workers = shards
-            .into_iter()
-            .enumerate()
-            .map(|(j, shard)| Self::spawn_worker(j, shard, pin, Arc::clone(&task_panics)))
-            .collect();
+        let (jobs, helpers) = (0..shards.len()).map(spawn_helper).unzip();
         Self {
-            workers,
+            shards: shards.into_iter().map(Arc::new).collect(),
+            jobs,
+            helpers,
             router,
             live,
             counters: PoolCounters::default(),
-            task_panics,
             scratch: Mutex::new(Vec::new()),
         }
     }
 
-    /// Spawns the owning worker thread for shard `j`.
-    fn spawn_worker(j: usize, mut shard: Shard<I>, pin: bool, panics: Arc<AtomicU64>) -> Worker<I> {
-        let (tx, rx) = unbounded::<Task<I>>();
-        let handle = std::thread::Builder::new()
-            .name(format!("hint-shard-{j}"))
-            .spawn(move || {
-                if pin {
-                    pin_current_thread(j);
-                }
-                while let Ok(task) = rx.recv() {
-                    // a panicking task must not kill the worker
-                    // (its shard would be lost with it): catch at
-                    // the task boundary, count, keep serving. The
-                    // caller sees the missing reply as a typed
-                    // `PoolError::WorkerDied`, never a crash.
-                    if catch_unwind(AssertUnwindSafe(|| task(&mut shard))).is_err() {
-                        panics.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                shard
-            })
-            .expect("spawn shard worker");
-        Worker {
-            tasks: Some(tx),
-            handle: Some(handle),
-        }
-    }
-
-    /// Number of dispatched tasks that panicked on a worker. The workers
-    /// catch these at the task boundary and keep serving; a nonzero
-    /// count means some request got a [`PoolError`] (or, for
-    /// fire-and-forget writes, may not have fully applied).
-    pub fn task_panics(&self) -> u64 {
-        self.task_panics.load(Ordering::Relaxed)
-    }
-
-    /// Test hook: dispatches a task that panics on shard `j`'s worker.
-    /// The worker must survive it (the shard stays owned and queryable);
-    /// only the poisoned task itself is lost.
-    #[doc(hidden)]
-    pub fn inject_poison(&self, j: usize) -> Result<(), PoolError> {
-        self.try_send(j, Box::new(|_| panic!("injected poisoned task")))
-    }
-
-    /// Shuts the workers down (draining any queued tasks) and
-    /// reassembles the [`ShardedIndex`]. The inverse of
-    /// [`ShardPool::new`]; a new pool can be spun up from the result.
+    /// Stops the helpers and reassembles the [`ShardedIndex`]. The
+    /// inverse of [`ShardPool::new`]; a new pool can be spun up from the
+    /// result.
     pub fn into_index(mut self) -> ShardedIndex<I> {
-        let shards = self.join_workers();
+        let shards = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|s| Arc::into_inner(s).expect(LENT))
+            .collect();
         ShardedIndex::from_parts(shards, self.live)
     }
 
-    /// Number of shards (= worker threads).
+    /// Number of shards (= helper threads).
     pub fn shard_count(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
     /// The inclusive domain range `[start, end]` of each shard, in order.
@@ -283,42 +218,36 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
 
     /// A snapshot of the dispatch counters.
     pub fn stats(&self) -> PoolStats {
+        let c = &self.counters;
         PoolStats {
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            routed: self.counters.routed.load(Ordering::Relaxed),
-            dispatched: self.counters.dispatched.load(Ordering::Relaxed),
-            skipped: self.counters.skipped.load(Ordering::Relaxed),
+            batches: c.batches.load(Ordering::Relaxed),
+            inline: c.inline.load(Ordering::Relaxed),
+            routed: c.routed.load(Ordering::Relaxed),
+            dispatched: c.dispatched.load(Ordering::Relaxed),
+            skipped: c.skipped.load(Ordering::Relaxed),
         }
     }
 
-    /// Sends one task to worker `j`, reporting a dead worker as a typed
-    /// error. With panicking tasks caught on the worker, this only fails
-    /// if the worker thread itself is gone (shut down, or killed outside
-    /// the task boundary).
-    fn try_send(&self, j: usize, task: Task<I>) -> Result<(), PoolError> {
-        self.workers[j]
-            .tasks
-            .as_ref()
-            .ok_or(PoolError::WorkerDied { shard: j })?
-            .send(task)
-            .map_err(|_| PoolError::WorkerDied { shard: j })
+    /// Shard `j`, mutably: only ever called between batches, when the
+    /// caller holds the only reference.
+    fn shard_mut(&mut self, j: usize) -> &mut Shard<I> {
+        Arc::get_mut(&mut self.shards[j]).expect(LENT)
     }
 
-    /// Sends one task to worker `j`.
-    ///
-    /// # Panics
-    /// Panics if the worker thread died.
-    fn send(&self, j: usize, task: Task<I>) {
-        self.try_send(j, task).unwrap_or_else(|e| panic!("{e}"));
+    /// Counts `(query, shard)` entries walked and skipped.
+    fn count_walks(&self, walked: usize, skipped: usize) {
+        let c = &self.counters;
+        c.dispatched.fetch_add(walked as u64, Ordering::Relaxed);
+        c.skipped.fetch_add(skipped as u64, Ordering::Relaxed);
     }
 
     /// Drains replies tagged with their shard index from `rx` until the
-    /// channel closes, returning them in ascending shard order — or, if
-    /// a dispatched shard never replied (its task panicked mid-reply),
-    /// the lowest such shard as a [`PoolError`]. Each dispatched shard
-    /// sends at most one reply.
+    /// channel closes — so every dispatched helper is done with its loan
+    /// — returning them in ascending shard order, or, if a dispatched
+    /// shard never replied (its walk panicked), the lowest such shard
+    /// as a [`PoolError`]. Each dispatched shard sends at most one reply.
     fn collect_tagged<T>(
-        rx: &crossbeam::channel::Receiver<(usize, T)>,
+        rx: &Receiver<(usize, T)>,
         dispatched: &[usize],
     ) -> Result<Vec<(usize, T)>, PoolError> {
         let mut done: Vec<(usize, T)> = Vec::with_capacity(dispatched.len());
@@ -336,37 +265,6 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         }
         done.sort_unstable_by_key(|&(j, _)| j);
         Ok(done)
-    }
-
-    /// Drops every task sender and joins the worker threads, collecting
-    /// the shards back. Queued tasks still run before a worker exits.
-    fn join_workers(&mut self) -> Vec<Shard<I>> {
-        let mut shards = Vec::with_capacity(self.workers.len());
-        for w in &mut self.workers {
-            drop(w.tasks.take());
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                match handle.join() {
-                    Ok(shard) => shards.push(shard),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        }
-        self.workers.clear();
-        shards
-    }
-
-    /// Test hook: kills shard `j`'s owning worker outright (closes its
-    /// task channel and joins the thread), so the `try_*` dead-worker
-    /// paths can be exercised. The shard is lost with the worker; only
-    /// `try_*` calls are safe on the pool afterwards.
-    #[doc(hidden)]
-    pub fn kill_worker(&mut self, j: usize) {
-        drop(self.workers[j].tasks.take());
-        if let Some(handle) = self.workers[j].handle.take() {
-            let _ = handle.join();
-        }
     }
 
     /// Routes and clusters a batch, then hands the plan to `run`. The
@@ -391,8 +289,28 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         run(plan)
     }
 
-    /// Evaluates a batch of queries through the worker pool, one
-    /// [`MergeableSink`] per query. Bit-identical to solo
+    /// The inline route: evaluates a batch on the calling thread, each
+    /// shard's sub-batch drained straight into the callers' sinks in
+    /// shard order. Bit-identical to solo
+    /// [`query_sink_pooled`](Self::query_sink_pooled) calls; entries
+    /// whose sink saturated at an earlier shard are skipped.
+    ///
+    /// # Panics
+    /// Panics if `queries` and `sinks` have different lengths.
+    pub(crate) fn query_batch_inline<S: QuerySink>(&self, queries: &[RangeQuery], sinks: &mut [S]) {
+        assert_eq!(queries.len(), sinks.len(), "one sink per query");
+        if queries.is_empty() {
+            return;
+        }
+        self.counters.inline.fetch_add(1, Ordering::Relaxed);
+        let (walked, skipped) = self.planned(queries, |plan| {
+            shard::drain_inline(&self.shards, plan, sinks)
+        });
+        self.count_walks(walked, skipped);
+    }
+
+    /// The fan-out route: evaluates a batch of queries on the helper
+    /// threads, one [`MergeableSink`] per query. Bit-identical to solo
     /// [`ShardedIndex::query_sink`] calls at the same index state:
     /// per-shard forks are merged back in ascending shard order on the
     /// calling thread. Bounded sinks are dispatched shard by shard so a
@@ -401,7 +319,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     ///
     /// # Panics
     /// Panics if `queries` and `sinks` have different lengths, or if a
-    /// worker fails (use [`try_query_batch_merge`](Self::try_query_batch_merge)
+    /// helper fails (use [`try_query_batch_merge`](Self::try_query_batch_merge)
     /// to handle that as a value).
     pub fn query_batch_merge<S>(&self, queries: &[RangeQuery], sinks: &mut [S])
     where
@@ -410,7 +328,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         self.query_batch_merge_hinted(queries, sinks, None)
     }
 
-    /// Fallible [`query_batch_merge`](Self::query_batch_merge): a worker
+    /// Fallible [`query_batch_merge`](Self::query_batch_merge): a helper
     /// failure surfaces as [`PoolError`] instead of a panic. On `Err`,
     /// the contents of `sinks` are unspecified (some forks may have
     /// merged) — callers reply with an error and drop them.
@@ -437,7 +355,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     ///
     /// # Panics
     /// Panics if `queries`, `sinks` (and `hints`, when given) have
-    /// different lengths, or if a worker fails.
+    /// different lengths, or if a helper fails.
     pub fn query_batch_merge_hinted<S>(
         &self,
         queries: &[RangeQuery],
@@ -451,7 +369,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     }
 
     /// Fallible [`query_batch_merge_hinted`](Self::query_batch_merge_hinted):
-    /// a worker failure surfaces as [`PoolError`] instead of a panic (on
+    /// a helper failure surfaces as [`PoolError`] instead of a panic (on
     /// `Err` the sink contents are unspecified).
     ///
     /// # Panics
@@ -477,7 +395,7 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
             if sinks.iter().all(|s| s.is_bounded()) {
                 return self.run_staged(plan, sinks, hints);
             }
-            let forked = self.fan_out(plan, |qi| Self::fork_for(sinks, hints, qi))?;
+            let forked = self.fan_out(plan, |qi| fork_for(sinks, hints, qi))?;
             for (qi, fork) in forked.into_iter().flatten() {
                 sinks[qi as usize].merge(fork);
             }
@@ -485,55 +403,80 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
         })
     }
 
-    /// The fork for batch entry `qi`: histogram-presized when the caller
-    /// supplied hints, otherwise the sink's own fallback fork.
-    #[inline]
-    fn fork_for<S: MergeableSink>(sinks: &[S], hints: Option<&[usize]>, qi: usize) -> S {
-        match hints {
-            Some(h) => sinks[qi].fork_sized(h[qi]),
-            None => sinks[qi].fork(),
-        }
+    /// Lends shard `j` to its helper to run `work` on it; the result
+    /// comes back on `reply`, tagged `j`, after the helper has dropped
+    /// its clone. If the helper is gone, the job — and with it the
+    /// clone — is dropped here.
+    fn lend<T: Send + 'static>(
+        &self,
+        j: usize,
+        reply: &Sender<(usize, T)>,
+        work: impl FnOnce(&Shard<I>) -> T + Send + 'static,
+    ) -> Result<(), PoolError> {
+        let loan = Loan {
+            shard: Arc::clone(&self.shards[j]),
+            reply: reply.clone(),
+            j,
+        };
+        self.jobs[j]
+            .send(Box::new(move || {
+                let out = work(&loan.shard);
+                loan.repay(out);
+            }))
+            .map_err(|_| PoolError::WorkerDied { shard: j })
     }
 
-    /// Parallel dispatch: every active shard gets its sub-batch at once,
-    /// entry `qi` carrying the fork `fork(qi)`, and the filled forks come
-    /// back per shard, in ascending shard order, tagged with their query
-    /// positions — the caller merges them in that order. One reply
-    /// channel serves the whole batch; workers tag replies with their
-    /// shard index and [`collect_tagged`](Self::collect_tagged) restores
-    /// shard order.
+    /// Lends every listed shard `j`, in ascending order, to run its
+    /// `work` on its helper, all at once, and returns the results in
+    /// shard order. Returns only once every dispatched helper is done,
+    /// even on `Err`.
+    fn lend_all<T, W>(
+        &self,
+        work: impl IntoIterator<Item = (usize, W)>,
+    ) -> Result<Vec<T>, PoolError>
+    where
+        T: Send + 'static,
+        W: FnOnce(&Shard<I>) -> T + Send + 'static,
+    {
+        let (tx, rx) = unbounded();
+        let mut dispatched = Vec::new();
+        let mut failed = Ok(());
+        for (j, w) in work {
+            failed = self.lend(j, &tx, w);
+            if failed.is_err() {
+                break;
+            }
+            dispatched.push(j);
+        }
+        drop(tx);
+        // every shard dispatched before a failed lend is lower than it
+        let done = Self::collect_tagged(&rx, &dispatched)?;
+        failed?;
+        Ok(done.into_iter().map(|(_, out)| out).collect())
+    }
+
+    /// Parallel dispatch: every active shard is lent at once, entry `qi`
+    /// carrying the fork `fork(qi)`, and the filled forks come back per
+    /// shard, in ascending shard order, tagged with their query
+    /// positions — the caller merges them in that order.
     fn fan_out<F: QuerySink + Send + 'static>(
         &self,
         plan: &[Vec<Routed>],
         mut fork: impl FnMut(usize) -> F,
     ) -> Result<Vec<Vec<(u32, F)>>, PoolError> {
-        let (tx, rx) = unbounded();
-        let mut dispatched = Vec::new();
-        for (j, sub) in plan.iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let job: Vec<(Routed, F)> = sub
-                .iter()
-                .map(|&entry| (entry, fork(entry.0 as usize)))
-                .collect();
-            self.counters
-                .dispatched
-                .fetch_add(job.len() as u64, Ordering::Relaxed);
-            let tx = tx.clone();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send((j, shard.run_forks(job)));
+        self.lend_all(
+            plan.iter()
+                .enumerate()
+                .filter(|(_, sub)| !sub.is_empty())
+                .map(|(j, sub)| {
+                    let job: Vec<(Routed, F)> = sub
+                        .iter()
+                        .map(|&entry| (entry, fork(entry.0 as usize)))
+                        .collect();
+                    self.count_walks(job.len(), 0);
+                    (j, move |shard: &Shard<I>| shard.run_forks(job))
                 }),
-            )?;
-            dispatched.push(j);
-        }
-        drop(tx);
-        Ok(Self::collect_tagged(&rx, &dispatched)?
-            .into_iter()
-            .map(|(_, forks)| forks)
-            .collect())
+        )
     }
 
     /// Staged dispatch for bounded sinks: shards are visited in
@@ -549,371 +492,196 @@ impl<I: IntervalIndex + Send + 'static> ShardPool<I> {
     where
         S: MergeableSink + Send + 'static,
     {
-        let (tx, rx) = unbounded();
         for (j, sub) in plan.iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
             let job: Vec<(Routed, S)> = sub
                 .iter()
                 .filter(|&&(qi, _, _)| !sinks[qi as usize].is_saturated())
-                .map(|&entry| (entry, Self::fork_for(sinks, hints, entry.0 as usize)))
+                .map(|&entry| (entry, fork_for(sinks, hints, entry.0 as usize)))
                 .collect();
-            self.counters
-                .skipped
-                .fetch_add((sub.len() - job.len()) as u64, Ordering::Relaxed);
+            self.count_walks(job.len(), sub.len() - job.len());
             if job.is_empty() {
                 continue;
             }
-            self.counters
-                .dispatched
-                .fetch_add(job.len() as u64, Ordering::Relaxed);
-            let tx = tx.clone();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send(shard.run_forks(job));
-                }),
-            )?;
-            for (qi, fork) in rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })? {
+            let walk = move |shard: &Shard<I>| shard.run_forks(job);
+            for (qi, fork) in self.lend_all([(j, walk)])?.into_iter().flatten() {
                 sinks[qi as usize].merge(fork);
             }
         }
         Ok(())
     }
 
-    /// Evaluates a batch through trait-level `dyn` sinks: workers
-    /// collect into `Vec<IntervalId>` forks, merged back in shard order
-    /// via [`QuerySink::emit_slice`] (saturated sinks stop receiving at
-    /// the merge).
-    fn query_batch_dyn(&self, queries: &[RangeQuery], sinks: &mut [&mut dyn QuerySink]) {
-        self.try_query_batch_dyn(queries, sinks)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible `dyn`-sink batch evaluation (see
-    /// [`IntervalIndex::query_batch`]): a worker failure surfaces as
-    /// [`PoolError`] instead of a panic (on `Err` the sink contents are
-    /// unspecified).
-    ///
-    /// # Panics
-    /// Panics if `queries` and `sinks` have different lengths.
-    pub fn try_query_batch_dyn(
-        &self,
-        queries: &[RangeQuery],
-        sinks: &mut [&mut dyn QuerySink],
-    ) -> Result<(), PoolError> {
-        assert_eq!(queries.len(), sinks.len(), "one sink per query");
-        if queries.is_empty() {
-            return Ok(());
-        }
-        let forked = self.planned(queries, |plan| {
-            self.fan_out(plan, |_| Vec::<IntervalId>::new())
-        })?;
-        for (qi, ids) in forked.into_iter().flatten() {
-            let sink = &mut *sinks[qi as usize];
-            if !sink.is_saturated() {
-                sink.emit_slice(&ids);
-            }
-        }
-        Ok(())
-    }
-
-    /// Solo query: the routed shards are dispatched one at a time in
-    /// domain order, stopping as soon as the sink saturates — the same
-    /// shard-granular early exit as [`ShardedIndex::query_sink`], with
-    /// each shard's scan running on the worker that owns it.
+    /// Solo query on the calling thread: the routed shards are walked
+    /// in domain order, stopping as soon as the sink saturates — the
+    /// same shard-granular early exit as [`ShardedIndex::query_sink`].
     pub fn query_sink_pooled<S: QuerySink + ?Sized>(&self, q: RangeQuery, sink: &mut S) {
-        self.try_query_sink_pooled(q, sink)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`query_sink_pooled`](Self::query_sink_pooled): a worker
-    /// failure surfaces as [`PoolError`] instead of a panic (on `Err`
-    /// the sink may hold a prefix of the results).
-    pub fn try_query_sink_pooled<S: QuerySink + ?Sized>(
-        &self,
-        q: RangeQuery,
-        sink: &mut S,
-    ) -> Result<(), PoolError> {
-        let (lo, hi) = self.router.route(q);
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.counters.inline.fetch_add(1, Ordering::Relaxed);
+        let (walked, skipped) = shard::query_solo(&self.router, &self.shards, q, sink);
         self.counters
             .routed
-            .fetch_add((hi - lo + 1) as u64, Ordering::Relaxed);
-        for j in lo..=hi {
-            if sink.is_saturated() {
-                self.counters
-                    .skipped
-                    .fetch_add((hi - j + 1) as u64, Ordering::Relaxed);
-                return Ok(());
-            }
-            self.counters.dispatched.fetch_add(1, Ordering::Relaxed);
-            let entry: Routed = (0, self.router.local_query(j, q, lo, hi), j == lo);
-            let (tx, rx) = unbounded();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send(shard.run_forks(vec![(entry, Vec::<IntervalId>::new())]));
-                }),
-            )?;
-            for (_, ids) in rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })? {
-                sink.emit_slice(&ids);
-            }
-        }
-        Ok(())
+            .fetch_add((walked + skipped) as u64, Ordering::Relaxed);
+        self.count_walks(walked, skipped);
     }
 
-    /// Broadcasts a reseal to every worker and waits for all of them —
-    /// a write barrier: every earlier queued write is folded into the
-    /// sealed arenas before this returns. Clean shards reseal for free
-    /// (the inner indexes' idempotent fast path).
-    pub fn seal_all(&self) {
-        self.try_seal_all().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`seal_all`](Self::seal_all): a worker failure surfaces
-    /// as [`PoolError`] instead of a panic. On `Err`, shards that did
-    /// reply are sealed; the failing one may not be.
-    pub fn try_seal_all(&self) -> Result<(), PoolError> {
+    /// Reseals every shard in parallel, each handed by value to its
+    /// helper and taken back — a write barrier: every earlier write is
+    /// folded into the sealed arenas before this returns. Clean shards
+    /// reseal for free (the inner indexes' idempotent fast path).
+    ///
+    /// # Panics
+    /// Panics if a shard's seal panicked; the shard is lost with it.
+    pub fn seal_all(&mut self) {
+        let n = self.shards.len();
         let (tx, rx) = unbounded();
-        let dispatched: Vec<usize> = (0..self.workers.len()).collect();
-        for &j in &dispatched {
+        for (j, mut shard) in std::mem::take(&mut self.shards).into_iter().enumerate() {
             let tx = tx.clone();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    shard.index.seal();
-                    let _ = tx.send((j, ()));
-                }),
-            )?;
+            let job: Job = Box::new(move || {
+                Arc::get_mut(&mut shard).expect(LENT).index.seal();
+                let _ = tx.send((j, shard));
+            });
+            // a helper that is gone leaves its shard to seal here
+            if let Err(unsent) = self.jobs[j].send(job) {
+                (unsent.0)();
+            }
         }
         drop(tx);
-        Self::collect_tagged(&rx, &dispatched)?;
-        Ok(())
+        let mut sealed: Vec<(usize, Arc<Shard<I>>)> = rx.iter().collect();
+        assert_eq!(sealed.len(), n, "a shard's seal panicked");
+        sealed.sort_unstable_by_key(|&(j, _)| j);
+        self.shards = sealed.into_iter().map(|(_, shard)| shard).collect();
     }
 
-    /// Clones every shard out of its worker and reassembles a
-    /// standalone [`ShardedIndex`] — the snapshot path's view of a live
-    /// pool. Runs as a task on each owning worker, so per-worker FIFO
-    /// makes it a read barrier: every earlier queued write is applied
-    /// before its shard is cloned. Cheap for sealed shards: the big id
-    /// arenas are `Arc`-shared, not copied.
+    /// Clones every shard and reassembles a standalone [`ShardedIndex`]
+    /// — the snapshot path's view of a live pool. The helpers clone
+    /// their shards in parallel, so this takes about the largest
+    /// shard's time, not the sum; sealed shards are cheap anyway, their
+    /// big id arenas being `Arc`-shared, not copied.
     pub fn clone_index(&self) -> Result<ShardedIndex<I>, PoolError>
     where
         I: Clone,
     {
-        let (tx, rx) = unbounded();
-        let dispatched: Vec<usize> = (0..self.workers.len()).collect();
-        for &j in &dispatched {
-            let tx = tx.clone();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send((j, shard.clone()));
-                }),
-            )?;
-        }
-        drop(tx);
-        let shards = Self::collect_tagged(&rx, &dispatched)?
-            .into_iter()
-            .map(|(_, shard)| shard)
-            .collect();
+        let shards = self.lend_all((0..self.shards.len()).map(|j| (j, Shard::clone)))?;
         Ok(ShardedIndex::from_parts(shards, self.live))
     }
 
     /// Approximate heap footprint: inner indexes plus replica
-    /// bookkeeping (computed on the owning workers).
-    ///
-    /// # Panics
-    /// Panics if a worker died — use
-    /// [`try_size_bytes_pooled`](Self::try_size_bytes_pooled) to handle
-    /// that as a value.
+    /// bookkeeping.
     pub fn size_bytes_pooled(&self) -> usize {
-        self.try_size_bytes_pooled()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`size_bytes_pooled`](Self::size_bytes_pooled): a dead
-    /// worker surfaces as [`PoolError::WorkerDied`] instead of a panic,
-    /// matching the rest of the `try_*` surface.
-    pub fn try_size_bytes_pooled(&self) -> Result<usize, PoolError> {
-        let (tx, rx) = unbounded();
-        let dispatched: Vec<usize> = (0..self.workers.len()).collect();
-        for &j in &dispatched {
-            let tx = tx.clone();
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send((
-                        j,
-                        shard.index.size_bytes()
-                            + shard.replicas.len() * std::mem::size_of::<IntervalId>() * 2,
-                    ));
-                }),
-            )?;
-        }
-        drop(tx);
-        Ok(Self::collect_tagged(&rx, &dispatched)?
-            .into_iter()
-            .map(|(_, n)| n)
-            .sum())
+        self.shards
+            .iter()
+            .map(|s| {
+                s.index.size_bytes() + s.replicas.len() * std::mem::size_of::<IntervalId>() * 2
+            })
+            .sum()
     }
 }
 
-impl<I: MutableIndex + Send + 'static> ShardPool<I> {
-    /// Inserts an interval, routing a mutation task to every shard its
-    /// extent overlaps (clipped per shard; replicas registered where the
-    /// start lies in an earlier shard). Per-worker FIFO orders the write
-    /// before any later dispatched batch.
+/// The fork for batch entry `qi`: histogram-presized when the caller
+/// supplied hints, otherwise the sink's own fallback fork.
+#[inline]
+fn fork_for<S: MergeableSink>(sinks: &[S], hints: Option<&[usize]>, qi: usize) -> S {
+    match hints {
+        Some(h) => sinks[qi].fork_sized(h[qi]),
+        None => sinks[qi].fork(),
+    }
+}
+
+/// Spawns helper `j`: it runs lent walks until its job channel closes.
+/// A panicking walk must not kill the helper — the owner sees the
+/// missing reply as a typed [`PoolError::WorkerDied`], never a crash —
+/// so each job is caught at its boundary.
+fn spawn_helper(j: usize) -> (Sender<Job>, JoinHandle<()>) {
+    let (tx, rx) = unbounded::<Job>();
+    let handle = std::thread::Builder::new()
+        .name(format!("hint-shard-{j}"))
+        .spawn(move || {
+            while let Ok(job) = rx.recv() {
+                let _ = catch_unwind(AssertUnwindSafe(job));
+            }
+        })
+        .expect("spawn shard helper");
+    (tx, handle)
+}
+
+impl<I: MutableIndex + Send + Sync + 'static> ShardPool<I> {
+    /// Inserts an interval into every shard its extent overlaps (clipped
+    /// per shard; replicas registered where the start lies in an earlier
+    /// shard).
     ///
     /// # Panics
     /// Panics if the interval falls outside the pooled domain — the same
     /// contract as [`ShardedIndex::insert`].
     pub fn insert(&mut self, s: Interval) {
-        self.try_insert(s).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`insert`](Self::insert): a dead worker surfaces as
-    /// [`PoolError`] instead of a panic. On `Err` the interval may be
-    /// stored in a prefix of its overlapping shards (queries routed to
-    /// a healthy prefix still behave sanely); the live count is only
-    /// bumped on success.
-    ///
-    /// # Panics
-    /// Panics if the interval falls outside the pooled domain — the same
-    /// contract as [`ShardedIndex::insert`].
-    pub fn try_insert(&mut self, s: Interval) -> Result<(), PoolError> {
         let (lo, hi) = self.router.route_insert(&s);
-        // fire-and-forget: per-worker FIFO orders the write before any
-        // later read of the same shard
         for j in lo..=hi {
-            self.try_send(j, Box::new(move |shard| shard.insert_leg(s)))?;
+            self.shard_mut(j).insert_leg(s);
         }
         self.live += 1;
-        Ok(())
     }
 
     /// Deletes an interval from every shard holding a copy, returning
     /// whether it was present. The shard owning the start point
-    /// arbitrates presence (synchronously); replica copies are removed
-    /// with fire-and-forget tasks that later operations queue behind.
+    /// arbitrates presence, as in [`ShardedIndex::delete`].
     pub fn delete(&mut self, s: &Interval) -> bool {
-        self.try_delete(s).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`delete`](Self::delete): a worker failure surfaces as
-    /// [`PoolError`] instead of a panic. On `Err` it is unspecified
-    /// whether the delete applied (the owning shard arbitrates, and its
-    /// reply is what went missing); the live count is left untouched.
-    pub fn try_delete(&mut self, s: &Interval) -> Result<bool, PoolError> {
         // out-of-domain intervals were never inserted
         let Some((lo, hi)) = self.router.route_write(s) else {
-            return Ok(false);
+            return false;
         };
-        let s = *s;
-        let (tx, rx) = unbounded();
-        self.try_send(
-            lo,
-            Box::new(move |shard| {
-                let _ = tx.send(shard.delete_leg(&s));
-            }),
-        )?;
-        if !rx.recv().map_err(|_| PoolError::WorkerDied { shard: lo })? {
-            return Ok(false);
+        if !self.shard_mut(lo).delete_leg(s) {
+            return false;
         }
         for j in lo + 1..=hi {
-            self.try_send(
-                j,
-                Box::new(move |shard| {
-                    shard.delete_leg(&s);
-                }),
-            )?;
+            self.shard_mut(j).delete_leg(s);
         }
         self.live -= 1;
-        Ok(true)
+        true
     }
 
     /// Reseals shard `j` at the `m` the cost model picks for the
-    /// observed query-extent `mix`, on the worker that owns the shard.
-    /// Returns `Some((old_m, new_m))` when the shard was rebuilt at a
-    /// different depth; otherwise the shard is plainly resealed and
-    /// `None` is returned (not re-tunable, empty, or already at the
-    /// model's choice). Results are bit-identical either way.
-    pub fn retune_shard(&self, j: usize, mix: ExtentMix) -> Option<(u32, u32)> {
-        self.try_retune_shard(j, mix)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`retune_shard`](Self::retune_shard): a worker failure
-    /// surfaces as [`PoolError`] instead of a panic (on `Err` the shard
-    /// may be resealed but not retuned — results stay exact either way).
-    pub fn try_retune_shard(
-        &self,
-        j: usize,
-        mix: ExtentMix,
-    ) -> Result<Option<(u32, u32)>, PoolError> {
-        let (tx, rx) = unbounded();
-        self.try_send(
-            j,
-            Box::new(move |shard| {
-                let outcome = shard.index.tuned_m().and_then(|from| {
-                    let to = shard.index.retune_m(&mix)?;
-                    if to == from {
-                        return None;
-                    }
-                    let rebuilt = shard.index.rebuild_with_m(to)?;
-                    shard.index = rebuilt; // arrives sealed
-                    Some((from, to))
-                });
-                if outcome.is_none() {
-                    shard.index.seal();
-                }
-                let _ = tx.send(outcome);
-            }),
-        )?;
-        rx.recv().map_err(|_| PoolError::WorkerDied { shard: j })
+    /// observed query-extent `mix`. Returns `Some((old_m, new_m))` when
+    /// the shard was rebuilt at a different depth; otherwise the shard
+    /// is plainly resealed and `None` is returned (not re-tunable,
+    /// empty, or already at the model's choice). Results are
+    /// bit-identical either way.
+    pub fn retune_shard(&mut self, j: usize, mix: ExtentMix) -> Option<(u32, u32)> {
+        let shard = self.shard_mut(j);
+        let outcome = shard.index.tuned_m().and_then(|from| {
+            let to = shard.index.retune_m(&mix)?;
+            if to == from {
+                return None;
+            }
+            shard.index = shard.index.rebuild_with_m(to)?; // arrives sealed
+            Some((from, to))
+        });
+        if outcome.is_none() {
+            shard.index.seal();
+        }
+        outcome
     }
 
     /// The hierarchy depth each shard currently runs at (`None` for
     /// non-re-tunable inner indexes).
     pub fn shard_ms(&self) -> Vec<Option<u32>> {
-        let mut out = Vec::with_capacity(self.workers.len());
-        for j in 0..self.workers.len() {
-            let (tx, rx) = unbounded();
-            self.send(
-                j,
-                Box::new(move |shard| {
-                    let _ = tx.send(shard.index.tuned_m());
-                }),
-            );
-            out.push(
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("{}", PoolError::WorkerDied { shard: j })),
-            );
-        }
-        out
+        self.shards.iter().map(|s| s.index.tuned_m()).collect()
     }
 }
 
-impl<I> Drop for ShardPool<I> {
+impl<I: Send + Sync + 'static> Drop for ShardPool<I> {
     fn drop(&mut self) {
-        // close every task channel, then join: queued work drains, the
-        // threads exit, and the shards are dropped on their own workers.
-        for w in &mut self.workers {
-            drop(w.tasks.take());
+        // each helper drops its shard as its last job, so the shards'
+        // memory is released in parallel; then close every job channel
+        // and join
+        for (shard, jobs) in self.shards.drain(..).zip(&self.jobs) {
+            let _ = jobs.send(Box::new(move || drop(shard)));
         }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                // a worker that panicked already reported; don't double-
-                // panic out of drop
-                let _ = handle.join();
-            }
+        self.jobs.clear();
+        for handle in self.helpers.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
-impl<I: IntervalIndex + Send + 'static> IntervalIndex for ShardPool<I> {
+impl<I: IntervalIndex + Send + Sync + 'static> IntervalIndex for ShardPool<I> {
     fn query_sink(&self, q: RangeQuery, sink: &mut dyn QuerySink) {
         self.query_sink_pooled(q, sink)
     }
@@ -923,7 +691,7 @@ impl<I: IntervalIndex + Send + 'static> IntervalIndex for ShardPool<I> {
     }
 
     fn query_batch(&self, queries: &[RangeQuery], sinks: &mut [&mut dyn QuerySink]) {
-        self.query_batch_dyn(queries, sinks)
+        self.query_batch_inline(queries, sinks)
     }
 
     fn size_bytes(&self) -> usize {
@@ -1045,6 +813,8 @@ mod tests {
     fn pool_round_trips_through_into_index() {
         let direct = sharded(4, true);
         let pool = ShardPool::new(direct.clone());
+        let footprint = pool.size_bytes_pooled();
+        assert!(footprint > 0 && footprint <= direct.size_bytes());
         let mut back = pool.into_index();
         assert_eq!(back.shard_count(), 4);
         assert_eq!(back.len(), direct.len());
@@ -1124,64 +894,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn poisoned_task_does_not_kill_the_worker() {
-        let direct = sharded(4, true);
-        let mut pool = ShardPool::new(direct.clone());
-        assert_eq!(pool.task_panics(), 0);
-        // poison every worker once; the panics are caught at the task
-        // boundary, so the workers keep their shards and keep serving
-        for j in 0..pool.shard_count() {
-            pool.inject_poison(j).unwrap();
-        }
-        for &q in &batch() {
-            let mut want = Vec::new();
-            direct.query_sink(q, &mut want);
-            let mut got = Vec::new();
-            pool.try_query_sink_pooled(q, &mut got).unwrap();
-            assert_eq!(got, want, "{q:?}");
-        }
-        assert_eq!(pool.task_panics(), 4);
-        // writes and barriers still work after the poison
-        pool.try_insert(Interval::new(800_000, 10, 20)).unwrap();
-        pool.try_seal_all().unwrap();
-        let mut got = Vec::new();
-        pool.try_query_sink_pooled(RangeQuery::new(10, 20), &mut got)
-            .unwrap();
-        assert!(got.contains(&800_000));
-        // and the shards come back out intact
-        let back = pool.into_index();
-        assert_eq!(back.shard_count(), 4);
-        assert_eq!(back.len(), direct.len() + 1);
-    }
-
-    #[test]
-    fn task_panicking_mid_reply_yields_a_typed_error_not_a_panic() {
-        let pool = ShardPool::new(sharded(2, true));
-        // a task that panics *before* sending its reply: the fallible
-        // paths must report WorkerDied for the right shard
-        let (tx, rx) = unbounded::<(usize, ())>();
-        pool.try_send(
-            1,
-            Box::new(move |_| {
-                let _ = &tx; // the reply sender dies with the panic
-                panic!("injected mid-reply panic");
-            }),
-        )
-        .unwrap();
-        drop(rx);
-        // the pool is still fully serviceable afterwards
-        pool.try_seal_all().unwrap();
-        let mut count = CountSink::new();
-        pool.try_query_sink_pooled(RangeQuery::new(0, 16_383), &mut count)
-            .unwrap();
-        assert_eq!(count.count(), pool.len());
-        assert_eq!(pool.task_panics(), 1);
-    }
-
-    /// An inner index that panics mid-walk while `armed` is set: the
-    /// dyn path runs no caller code on the workers, so this is how a
-    /// worker dies there between accepting a sub-batch and replying.
+    /// An inner index that panics mid-walk while `armed` is set: a walk
+    /// that dies on its helper with no caller code involved.
     #[derive(Clone)]
     struct Tripwire {
         inner: HintMSubs,
@@ -1205,7 +919,7 @@ mod tests {
     }
 
     /// A collecting sink whose forks panic on emitting any id in
-    /// `doomed`: the worker walking those ids dies mid-reply.
+    /// `doomed`: the helper walking those ids dies mid-reply.
     struct DoomedFork {
         ids: Vec<IntervalId>,
         doomed: Arc<HashSet<IntervalId>>,
@@ -1253,7 +967,7 @@ mod tests {
             }
         });
         IntervalIndex::seal(&mut direct);
-        let pool = ShardPool::new(direct.clone());
+        let mut pool = ShardPool::new(direct.clone());
         let queries = batch();
         // fanned merge: intervals lying wholly inside shard 2 are stored
         // only there, so only shard 2's fork trips
@@ -1278,22 +992,17 @@ mod tests {
             pool.try_query_batch_merge(&queries, &mut sinks),
             Err(PoolError::WorkerDied { shard: 2 })
         );
-        // a round trip through every worker: each counts its caught
-        // panic before it takes its next task
-        pool.try_seal_all().unwrap();
-        assert_eq!(pool.task_panics(), 1);
-        // dyn path: shard 2's walk itself panics
+        // the failed batch returned every loan: writes reach the shards
+        pool.seal_all();
+        // plain sinks, but shard 2's walk itself panics
         armed.store(true, Ordering::Relaxed);
         let mut bufs: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
-        let mut dyns: Vec<&mut dyn QuerySink> =
-            bufs.iter_mut().map(|b| b as &mut dyn QuerySink).collect();
         assert_eq!(
-            pool.try_query_batch_dyn(&queries, &mut dyns),
+            pool.try_query_batch_merge(&queries, &mut bufs),
             Err(PoolError::WorkerDied { shard: 2 })
         );
-        pool.try_seal_all().unwrap();
-        assert_eq!(pool.task_panics(), 2);
-        // every worker survived: the pool still matches the direct index
+        pool.seal_all();
+        // every helper survived: the pool still matches the direct index
         armed.store(false, Ordering::Relaxed);
         let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
         pool.query_batch_merge(&queries, &mut merged);
@@ -1307,7 +1016,7 @@ mod tests {
     #[test]
     fn two_workers_panicking_mid_reply_report_the_lowest_shard() {
         let direct = sharded(4, true);
-        let pool = ShardPool::new(direct.clone());
+        let mut pool = ShardPool::new(direct.clone());
         let queries = batch();
         // ids stored only in shards 1 and 3: both forks die mid-reply
         let bounds = pool.shard_bounds().to_vec();
@@ -1334,8 +1043,7 @@ mod tests {
             pool.try_query_batch_merge(&queries, &mut sinks),
             Err(PoolError::WorkerDied { shard: 1 })
         );
-        pool.try_seal_all().unwrap();
-        assert_eq!(pool.task_panics(), 2);
+        pool.seal_all();
         let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
         pool.query_batch_merge(&queries, &mut merged);
         for (i, &q) in queries.iter().enumerate() {
@@ -1405,7 +1113,7 @@ mod tests {
         let mut pool = ShardPool::new(direct.clone());
         let bounds = pool.shard_bounds().to_vec();
         // spans shards 0..=2, so its copies in shards 1 and 2 are
-        // replicas written and deleted by fire-and-forget tasks
+        // replicas
         let cross = Interval::new(910_000, bounds[0].1 - 3, bounds[2].0 + 3);
         direct.insert(cross);
         pool.insert(cross);
@@ -1456,54 +1164,94 @@ mod tests {
         assert_eq!(stats.routed, 8 * 4);
         assert_eq!(stats.dispatched, 8 * 4, "fanned dispatch skips nothing");
         assert_eq!(stats.skipped, 0);
-        // a solo bounded query stops after the first shard
+        assert_eq!(stats.inline, 0, "query_batch_merge always fans out");
+        // a solo bounded query walks inline and stops after the first
+        // shard
         let mut one = FirstK::new(1);
         pool.query_sink_pooled(RangeQuery::new(0, 16_383), &mut one);
         assert_eq!(one.len(), 1);
         let stats = pool.stats();
         assert_eq!(stats.batches, 2);
+        assert_eq!(stats.inline, 1);
         assert_eq!(stats.routed, 8 * 4 + 4);
         assert_eq!(stats.dispatched, 8 * 4 + 1);
         assert_eq!(stats.skipped, 3);
     }
 
     #[test]
-    fn writes_to_a_dead_worker_fail_typed_and_keep_the_live_count() {
-        let mut pool = ShardPool::new(sharded(4, true));
-        let bounds = pool.shard_bounds().to_vec();
-        let live = pool.len();
-        // insert into the live shard 1 and across into the dead shard 2
-        let cross = Interval::new(930_000, bounds[1].1 - 3, bounds[2].0 + 3);
-        pool.insert(cross);
-        pool.kill_worker(2);
-        let inside = Interval::new(930_001, bounds[2].0 + 1, bounds[2].0 + 2);
+    fn inline_batches_count_walks_and_skips_like_the_fan_out() {
+        let direct = sharded(4, true);
+        let fanned = ShardPool::new(direct.clone());
+        let inline = ShardPool::new(direct.clone());
+        let queries: Vec<RangeQuery> = (0..8).map(|_| RangeQuery::new(0, 16_383)).collect();
+        for k in [1, 5_000] {
+            let mut a: Vec<FirstK> = queries.iter().map(|_| FirstK::new(k)).collect();
+            let mut b: Vec<FirstK> = queries.iter().map(|_| FirstK::new(k)).collect();
+            fanned.query_batch_merge(&queries, &mut a);
+            inline.query_batch_inline(&queries, &mut b);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.ids(), y.ids(), "k={k}");
+            }
+        }
+        let (f, i) = (fanned.stats(), inline.stats());
+        assert_eq!((f.batches, f.inline), (2, 0));
+        assert_eq!((i.batches, i.inline), (2, 2));
+        assert_eq!(i.routed, f.routed);
+        // k = 1 walks only the first shard, k = 5,000 every shard
+        assert_eq!(i.dispatched, 8 + 8 * 4);
+        assert_eq!((i.dispatched, i.skipped), (f.dispatched, f.skipped));
+    }
+
+    /// The strong count of every shard: 1 when no loan is out.
+    fn loans_out(pool: &ShardPool<HintMSubs>) -> Vec<usize> {
+        pool.shards
+            .iter()
+            .map(|s| Arc::strong_count(s) - 1)
+            .collect()
+    }
+
+    #[test]
+    fn every_loan_is_back_when_a_fan_out_returns() {
+        let direct = sharded(4, true);
+        let mut pool = ShardPool::new(direct.clone());
+        let queries = batch();
+        let mut ok: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        pool.query_batch_merge(&queries, &mut ok);
+        assert_eq!(loans_out(&pool), [0; 4]);
+        let mut first: Vec<FirstK> = queries.iter().map(|_| FirstK::new(2)).collect();
+        pool.query_batch_merge(&queries, &mut first);
+        assert_eq!(loans_out(&pool), [0; 4]);
+        // shard 2's helper has hung up: its lend fails, and the fan-out
+        // still waits for shards 0 and 1 before it reports the failure
+        pool.jobs[2] = unbounded().0;
+        let mut sinks: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
         assert_eq!(
-            pool.try_insert(inside),
+            pool.try_query_batch_merge(&queries, &mut sinks),
             Err(PoolError::WorkerDied { shard: 2 })
         );
-        // the owner (shard 1) finds it, then the leg to shard 2 fails
+        assert_eq!(loans_out(&pool), [0; 4]);
+        let mut staged: Vec<FirstK> = queries.iter().map(|_| FirstK::new(5_000)).collect();
         assert_eq!(
-            pool.try_delete(&cross),
+            pool.try_query_batch_merge(&queries, &mut staged),
             Err(PoolError::WorkerDied { shard: 2 })
         );
-        assert_eq!(pool.len(), live + 1);
-        assert_eq!(pool.try_seal_all(), Err(PoolError::WorkerDied { shard: 2 }));
-        assert_eq!(
-            pool.try_retune_shard(2, ExtentMix::from_extents(&[0; 4])),
-            Err(PoolError::WorkerDied { shard: 2 })
-        );
-        // reads routed around the dead shard still succeed
-        let mut count = CountSink::new();
-        pool.try_query_sink_pooled(RangeQuery::new(0, bounds[1].1), &mut count)
-            .unwrap();
-        assert!(count.count() > 0);
+        assert_eq!(loans_out(&pool), [0; 4]);
+        // so the writes that follow reach every shard, and the inline
+        // routes never needed the helper
+        let s = Interval::new(940_000, 10, 16_000);
+        pool.insert(s);
+        pool.seal_all();
+        let mut got = Vec::new();
+        pool.query_sink_pooled(RangeQuery::new(0, 16_383), &mut got);
+        assert_eq!(got.len(), direct.len() + 1);
+        assert!(pool.delete(&s));
+        assert_eq!(pool.into_index().len(), direct.len());
     }
 
     #[test]
     fn clone_index_matches_the_live_pool() {
         let mut pool = ShardPool::new(sharded(4, true));
         pool.insert(Interval::new(650_000, 100, 9_000));
-        // clone_index is a read barrier: the queued insert lands first
         let cloned = pool.clone_index().unwrap();
         assert_eq!(cloned.shard_count(), 4);
         assert_eq!(cloned.len(), pool.len());
@@ -1522,26 +1270,9 @@ mod tests {
     }
 
     #[test]
-    fn try_size_bytes_reports_a_dead_worker_instead_of_panicking() {
-        let mut pool = ShardPool::new(sharded(4, true));
-        let healthy = pool.try_size_bytes_pooled().unwrap();
-        assert!(healthy > 0);
-        pool.kill_worker(1);
-        assert_eq!(
-            pool.try_size_bytes_pooled(),
-            Err(PoolError::WorkerDied { shard: 1 })
-        );
-        // the panicking spelling still panics — but as the typed message
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.size_bytes_pooled()))
-            .expect_err("dead worker must fail size_bytes_pooled");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("shard 1"), "got: {msg}");
-    }
-
-    #[test]
     fn retune_preserves_results_and_reports_the_move() {
         let direct = sharded(4, true);
-        let pool = ShardPool::new(direct.clone());
+        let mut pool = ShardPool::new(direct.clone());
         // a stab-heavy mix on short-interval data wants a deep hierarchy
         let mix = ExtentMix::from_extents(&[0; 64]);
         let moved = pool.retune_shard(1, mix);

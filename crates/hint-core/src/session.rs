@@ -1,14 +1,18 @@
-//! The serving-side engine handle: a [`Session`] owns a persistent
-//! [`ShardPool`] over a [`ShardedIndex`], routes writes to the owning
-//! shard workers, reseals dirty shards on demand — and *adapts*: it
-//! accumulates a per-shard histogram of the query extents each shard
-//! actually serves, and at reseal time rebuilds dirty shards at the `m`
-//! the §3.3 cost model picks for that observed mix
-//! ([`crate::cost_model::retuned_m`]).
+//! The serving-side engine handle: a [`Session`] owns a [`ShardPool`]
+//! over a [`ShardedIndex`], applies checked writes to its shards,
+//! reseals dirty shards on demand — and *adapts*, twice over:
+//!
+//! * it accumulates a per-shard histogram of the query extents each
+//!   shard actually serves, and at reseal time rebuilds dirty shards at
+//!   the `m` the §3.3 cost model picks for that observed mix
+//!   ([`crate::cost_model::retuned_m`]);
+//! * it times every batch, and runs each batch on whichever read route
+//!   has been measured cheaper for batches of its size (see
+//!   [One read decision](#one-read-decision)).
 //!
 //! A network front-end (see the workspace's `serve` crate) needs a
-//! single object that (a) answers query batches through the shard-worker
-//! pool, (b) applies writes without panicking on client-supplied
+//! single object that (a) answers query batches through the shard pool,
+//! (b) applies writes without panicking on client-supplied
 //! garbage — an out-of-domain insert from the wire must become an error
 //! reply, not a server crash — and (c) knows whether any writes have
 //! landed since the last seal, so a `Seal` request on a clean index is
@@ -34,6 +38,32 @@
 //! live intervals over the same range — and
 //! [`crate::cost_model::retuned_m`] guarantees the chosen `m` never
 //! loses to the old one on the observed histogram.
+//!
+//! ## One read decision
+//!
+//! [`Session::query_batch_merge`] runs each batch on one of the pool's
+//! two read routes: **inline** on the calling thread, or **fan-out**
+//! across the pool's helper threads (see [`crate::pool`]). A thread
+//! round trip costs several times a short walk, so a small batch on a
+//! small index is cheapest inline; a large batch of long walks can be
+//! cheaper spread over several cores — unless those cores are busy
+//! with other work, which no static rule can know. So the session
+//! measures. Per log2 batch-length class it runs one route, and now and
+//! then a paired trial: an exploring run of [`EXPLORE_RUN`] batches on
+//! the other route, then a control run of as many on its own, each timed
+//! after a [`WARMUP`] (a route starts cold after the other one ran: the
+//! helpers were parked, the caches hold other data). Each trial's cost
+//! ratio feeds an EWMA over trials, and the class then runs the route
+//! that EWMA names, so one noisy trial does not flip it, while a
+//! collapse of one route (a ratio of 10 moves the EWMA at once) does.
+//! Later trials come [`EXPLORE_EVERY`] batches apart at first; each
+//! trial that confirms the route doubles the gap, up to [`EXPLORE_MAX`],
+//! so a settled class
+//! spends almost nothing on the route it does not take. Both runs of a
+//! trial are adjacent in time and equally cold, so host speed drift and
+//! warm-up cancel out of the comparison. A new class runs inline, and
+//! has its first trial after [`EXPLORE_RUN`] batches. Both routes give
+//! bit-identical results.
 
 use crate::hintm::snapshot::{self, RestoreError, SnapshotIo, StdSnapshotIo};
 use crate::interval::{Interval, RangeQuery, Time, TOMBSTONE};
@@ -46,6 +76,8 @@ use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Minimum local queries a shard must have observed before a reseal may
 /// re-tune its `m` — below this the histogram is noise, not a mix.
@@ -114,6 +146,151 @@ pub struct RetuneEvent {
     pub to: u32,
 }
 
+/// Batches of one length class between trials after a trial that
+/// changed the class's route. (The first trial comes after
+/// [`EXPLORE_RUN`] batches.)
+pub const EXPLORE_EVERY: u32 = 1024;
+
+/// Most batches of one length class between exploring runs: every run
+/// that confirms the class's route doubles the gap, up to this.
+pub const EXPLORE_MAX: u32 = 16 * EXPLORE_EVERY;
+
+/// Length of the exploring run, and of the control run right after it:
+/// that many batches in a row take the route the class does not favour,
+/// then as many take the favoured one.
+pub const EXPLORE_RUN: u32 = 64;
+
+/// Leading batches of each run that are not timed. A route starts cold
+/// after the other one ran — the helpers were parked, the caches hold
+/// other data — and warms up over tens of batches.
+pub const WARMUP: u32 = 16;
+
+/// Weight of one trial in a class's running verdict.
+const TRIAL_WEIGHT: f64 = 0.5;
+
+/// Batch-length classes: `floor(log2(len))`, the last one open-ended.
+const CLASSES: usize = 16;
+
+/// The two routes a batch can take through the [`ShardPool`] (see the
+/// [module docs](self#one-read-decision)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReadRoute {
+    /// Walked on the calling thread, straight into the callers' sinks.
+    #[default]
+    Inline,
+    /// Lent to the pool's helper threads, forked and merged in shard
+    /// order.
+    FanOut,
+}
+
+impl ReadRoute {
+    fn other(self) -> Self {
+        match self {
+            ReadRoute::Inline => ReadRoute::FanOut,
+            ReadRoute::FanOut => ReadRoute::Inline,
+        }
+    }
+}
+
+/// One batch-length class: the route it favours, and where it stands in
+/// its cycle — `gap()` favoured batches, an exploring run of
+/// [`EXPLORE_RUN`] on the other route, then a control run of as many on
+/// the favoured one.
+#[derive(Debug, Clone, Copy, Default)]
+struct RouteClass {
+    favoured: ReadRoute,
+    /// Batches into the current cycle.
+    n: u32,
+    /// How many times the gap has doubled since the last route change.
+    doublings: u32,
+    /// Timed wall nanoseconds and queries of this cycle's exploring and
+    /// control runs, indexed by route.
+    timed: [(u128, u64); 2],
+    /// Running verdict: EWMA over trials of `ln(fan-out / inline)` wall
+    /// time per query; negative favours fan-out. `None` before the
+    /// first trial.
+    lean: Option<f64>,
+}
+
+impl RouteClass {
+    fn gap(&self) -> u32 {
+        match self.lean {
+            None => EXPLORE_RUN,
+            Some(_) => (EXPLORE_EVERY << self.doublings).min(EXPLORE_MAX),
+        }
+    }
+
+    /// Ends a cycle: folds the trial's cost ratio into the running
+    /// verdict, favours the route it names, and doubles the gap to the
+    /// next exploring run if that is the route already favoured.
+    fn decide(&mut self) {
+        let per_query = |(ns, queries): (u128, u64)| ns as f64 / queries.max(1) as f64;
+        let [inline, fan_out] = self.timed.map(per_query);
+        if inline > 0.0 && fan_out > 0.0 {
+            let trial = (fan_out / inline).ln();
+            self.lean = Some(match self.lean {
+                Some(lean) => lean + TRIAL_WEIGHT * (trial - lean),
+                None => trial,
+            });
+        }
+        let cheaper = match self.lean {
+            Some(lean) if lean < 0.0 => ReadRoute::FanOut,
+            Some(_) => ReadRoute::Inline,
+            None => self.favoured,
+        };
+        if cheaper == self.favoured {
+            if self.gap() < EXPLORE_MAX {
+                self.doublings += 1;
+            }
+        } else {
+            self.favoured = cheaper;
+            self.doublings = 0;
+        }
+        self.n = 0;
+        self.timed = [(0, 0); 2];
+    }
+}
+
+/// Picks each batch's [`ReadRoute`] from measured cost: pure state,
+/// fed by [`record`](Self::record) with the wall time each batch took.
+#[derive(Debug, Default)]
+pub(crate) struct RouteChooser {
+    classes: [RouteClass; CLASSES],
+}
+
+impl RouteChooser {
+    fn class(len: usize) -> usize {
+        (len.max(1).ilog2() as usize).min(CLASSES - 1)
+    }
+
+    /// The route for the next batch of `len` queries: the one its class
+    /// favours, except during the class's exploring run.
+    pub(crate) fn choose(&mut self, len: usize) -> ReadRoute {
+        let c = &mut self.classes[Self::class(len)];
+        if c.n == c.gap() + 2 * EXPLORE_RUN {
+            c.decide();
+        }
+        c.n += 1;
+        if (c.gap() + 1..=c.gap() + EXPLORE_RUN).contains(&c.n) {
+            c.favoured.other()
+        } else {
+            c.favoured
+        }
+    }
+
+    /// Times the batch [`choose`](Self::choose) just routed, if it is
+    /// past the [`WARMUP`] of its class's exploring or control run.
+    pub(crate) fn record(&mut self, len: usize, route: ReadRoute, wall: Duration) {
+        let c = &mut self.classes[Self::class(len)];
+        let into_run = c.n.saturating_sub(c.gap() + 1) % EXPLORE_RUN;
+        if c.n > c.gap() && into_run >= WARMUP {
+            let (ns, queries) = &mut c.timed[route as usize];
+            *ns += wall.as_nanos();
+            *queries += len as u64;
+        }
+    }
+}
+
 /// Why a client-requested write was refused. Unlike the index methods
 /// themselves (which `assert!` on contract violations, appropriate for
 /// in-process callers), a serving layer turns these into error replies.
@@ -149,8 +326,8 @@ impl std::fmt::Display for WriteError {
 
 /// An engine handle owning a pooled sharded index: checked writes,
 /// dirty-shard resealing with adaptive per-shard `m` re-tuning, and
-/// batched query execution on the persistent shard workers — the
-/// substrate a serving front-end schedules work onto.
+/// batched query execution on the cheaper read route — the substrate a
+/// serving front-end schedules work onto.
 ///
 /// ```
 /// use hint_core::{
@@ -170,7 +347,7 @@ impl std::fmt::Display for WriteError {
 /// assert_eq!(session.len(), 101);
 /// assert!(session.pool().exists(RangeQuery::new(40, 90)));
 /// ```
-pub struct Session<I: MutableIndex + Send + 'static> {
+pub struct Session<I: MutableIndex + Send + Sync + 'static> {
     pool: ShardPool<I>,
     /// Writes applied since the last seal; the serving layer's "was
     /// there anything to do" answer.
@@ -182,11 +359,13 @@ pub struct Session<I: MutableIndex + Send + 'static> {
     policy: RetunePolicy,
     /// Completed re-tunes, oldest first.
     events: Vec<RetuneEvent>,
+    /// Picks each batch's read route.
+    chooser: Mutex<RouteChooser>,
 }
 
-impl<I: MutableIndex + Send + 'static> Session<I> {
+impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// Wraps (and seals) a sharded index, moving its shards into a
-    /// persistent [`ShardPool`]. Sealing up front puts every shard in
+    /// [`ShardPool`]. Sealing up front puts every shard in
     /// the read-optimized columnar layout before the first query
     /// arrives. The re-tune policy comes from `HINT_SERVE_RETUNE`.
     pub fn new(index: ShardedIndex<I>) -> Self {
@@ -208,6 +387,7 @@ impl<I: MutableIndex + Send + 'static> Session<I> {
             mixes,
             policy,
             events: Vec::new(),
+            chooser: Mutex::default(),
         }
     }
 
@@ -226,12 +406,13 @@ impl<I: MutableIndex + Send + 'static> Session<I> {
             mixes,
             policy: RetunePolicy::from_env(),
             events: Vec::new(),
+            chooser: Mutex::default(),
         }
     }
 
-    /// The underlying worker pool (solo queries, batched execution,
+    /// The underlying shard pool (solo queries, the explicit fan-out,
     /// dispatch stats). Queries issued directly on the pool bypass the
-    /// session's extent accounting.
+    /// session's extent accounting and route choice.
     pub fn pool(&self) -> &ShardPool<I> {
         &self.pool
     }
@@ -282,7 +463,7 @@ impl<I: MutableIndex + Send + 'static> Session<I> {
         }
     }
 
-    /// Checked insert: routes to the owning shard workers, or reports
+    /// Checked insert: routes to the shards the interval overlaps, or reports
     /// [`WriteError::OutOfDomain`] instead of panicking — the write path
     /// for requests arriving from untrusted clients.
     pub fn try_insert(&mut self, s: Interval) -> Result<(), WriteError> {
@@ -362,44 +543,61 @@ impl<I: MutableIndex + Send + 'static> Session<I> {
     }
 }
 
-impl<I: MutableIndex + Send + 'static> Session<I> {
-    /// Evaluates a batch of queries through the shard-worker pool's
-    /// typed merge path, one [`MergeableSink`] per query (see
-    /// [`ShardPool::query_batch_merge`]), recording each query's
-    /// shard-local extents in the per-shard histograms.
-    ///
-    /// The histograms also pay back: each query's forked sinks are
-    /// pre-sized from the mean result count previously observed for its
-    /// extent bucket ([`ExtentHistogram::expected_results`], fed through
-    /// [`ShardPool::query_batch_merge_hinted`]), and counting sinks
-    /// report their totals back after the batch — a feedback loop that
-    /// kills mid-scan fork reallocation once a workload's shape has been
-    /// seen. Hints are capacity advice only and never change results.
+impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
+    /// Evaluates a batch of queries, one [`MergeableSink`] per query, on
+    /// the read route measured cheaper for batches of its length (see
+    /// [One read decision](self#one-read-decision)), recording each
+    /// query's shard-local extents in the per-shard histograms. Results
+    /// are bit-identical to solo [`query_sink`](Self::query_sink) calls
+    /// on either route.
     pub fn query_batch_merge<S: MergeableSink + Send + 'static>(
         &self,
+        queries: &[RangeQuery],
+        sinks: &mut [S],
+    ) {
+        if queries.is_empty() {
+            return;
+        }
+        let chooser = || self.chooser.lock().unwrap_or_else(PoisonError::into_inner);
+        let route = chooser().choose(queries.len());
+        let t0 = Instant::now();
+        self.query_batch_merge_via(route, queries, sinks);
+        chooser().record(queries.len(), route, t0.elapsed());
+    }
+
+    /// [`query_batch_merge`](Self::query_batch_merge) on a given route,
+    /// bypassing the route choice — the test hook that pins each route.
+    ///
+    /// On the fan-out route the histograms also pay back: each query's
+    /// forked sinks are pre-sized from the mean result count previously
+    /// observed for its extent bucket
+    /// ([`ExtentHistogram::expected_results`], fed through
+    /// [`ShardPool::query_batch_merge_hinted`]), and counting sinks
+    /// report their totals back after every batch — a feedback loop that
+    /// kills mid-scan fork reallocation once a workload's shape has been
+    /// seen. Hints are capacity advice only and never change results.
+    ///
+    /// # Panics
+    /// Panics if `queries` and `sinks` have different lengths, or if a
+    /// fan-out helper fails.
+    #[doc(hidden)]
+    pub fn query_batch_merge_via<S: MergeableSink + Send + 'static>(
+        &self,
+        route: ReadRoute,
         queries: &[RangeQuery],
         sinks: &mut [S],
     ) {
         for &q in queries {
             self.observe(q);
         }
-        // Predict per-query result counts from each query's first routed
-        // shard (where the merged total was recorded). All-None batches
-        // skip the hint plumbing entirely.
-        let mut hints: Vec<usize> = Vec::new();
-        let mut any = false;
-        for &q in queries {
-            let (lo, _) = self.pool.router().route(q);
-            match self.mixes[lo].expected_results(q.end - q.st) {
-                Some(n) => {
-                    any = true;
-                    hints.push(n);
-                }
-                None => hints.push(0),
+        match route {
+            ReadRoute::Inline => self.pool.query_batch_inline(queries, sinks),
+            ReadRoute::FanOut => {
+                let hints = self.result_hints(queries);
+                self.pool
+                    .query_batch_merge_hinted(queries, sinks, hints.as_deref());
             }
         }
-        let hints = if any { Some(hints.as_slice()) } else { None };
-        self.pool.query_batch_merge_hinted(queries, sinks, hints);
         for (&q, sink) in queries.iter().zip(sinks.iter()) {
             if let Some(n) = sink.result_count() {
                 let (lo, _) = self.pool.router().route(q);
@@ -408,8 +606,25 @@ impl<I: MutableIndex + Send + 'static> Session<I> {
         }
     }
 
-    /// Solo query into a sink — the reference path batched serving must
-    /// stay bit-identical to.
+    /// Per-query result-count predictions, from each query's first
+    /// routed shard (where the merged total was recorded); `None` when
+    /// no query has one, so the batch skips the hint plumbing entirely.
+    fn result_hints(&self, queries: &[RangeQuery]) -> Option<Vec<usize>> {
+        let mut any = false;
+        let hints = queries
+            .iter()
+            .map(|&q| {
+                let (lo, _) = self.pool.router().route(q);
+                let n = self.mixes[lo].expected_results(q.end - q.st);
+                any |= n.is_some();
+                n.unwrap_or(0)
+            })
+            .collect();
+        any.then_some(hints)
+    }
+
+    /// Solo query into a sink, walked inline — the reference path
+    /// batched serving must stay bit-identical to.
     pub fn query_sink<S: QuerySink + ?Sized>(&self, q: RangeQuery, sink: &mut S) {
         self.observe(q);
         self.pool.query_sink_pooled(q, sink)
@@ -422,7 +637,7 @@ impl<I: MutableIndex + Send + 'static> Session<I> {
 impl Session<crate::HintMSubs> {
     /// Durably writes the session's index to `path`: reseals first (a
     /// write barrier folding every pending write in), clones the sealed
-    /// shards out of their workers, then writes temp-file + fsync +
+    /// shards, then writes temp-file + fsync +
     /// atomic rename. A crash at any byte leaves either the old
     /// snapshot or the new one at `path`, never garbage. Returns the
     /// snapshot size in bytes.
@@ -486,20 +701,24 @@ impl Session<crate::HintMSubs> {
 mod tests {
     use super::*;
     use crate::oracle::ScanOracle;
+    use crate::sink::{CountSink, ExistsSink, FirstK};
     use crate::{Domain, HintMSubs, SubsConfig};
 
     fn session() -> Session<HintMSubs> {
         Session::with_retune(build(), RetunePolicy::Off)
     }
 
-    fn build() -> ShardedIndex<HintMSubs> {
-        let data: Vec<Interval> = (0..400)
+    fn data() -> Vec<Interval> {
+        (0..400)
             .map(|i| {
                 let st = (i * 41) % 3_000;
                 Interval::new(i, st, (st + (i % 11) * 30).min(4_095))
             })
-            .collect();
-        ShardedIndex::build_with_domain(&data, 0, 4_095, 4, |slice, lo, hi| {
+            .collect()
+    }
+
+    fn build() -> ShardedIndex<HintMSubs> {
+        ShardedIndex::build_with_domain(&data(), 0, 4_095, 4, |slice, lo, hi| {
             HintMSubs::build_with_domain(slice, Domain::new(lo, hi, 8), SubsConfig::full())
         })
     }
@@ -680,6 +899,266 @@ mod tests {
         assert!(s.reseal_idle());
         assert!(!s.is_dirty());
         assert!(!s.reseal_idle(), "clean session has nothing to fold");
+    }
+
+    /// Drives `chooser` through `batches` batches of `len` queries, each
+    /// timed at `cost(route, streak)` ns per query, where `streak` counts
+    /// the batches in a row on that route (1 for the first); returns the
+    /// routes taken.
+    fn drive(
+        chooser: &mut RouteChooser,
+        len: usize,
+        batches: u32,
+        cost: impl Fn(ReadRoute, u32) -> u64,
+    ) -> Vec<ReadRoute> {
+        let mut streak = (ReadRoute::Inline, 0);
+        (0..batches)
+            .map(|_| {
+                let route = chooser.choose(len);
+                streak = if streak.0 == route {
+                    (route, streak.1 + 1)
+                } else {
+                    (route, 1)
+                };
+                let ns = cost(route, streak.1) * len as u64;
+                chooser.record(len, route, Duration::from_nanos(ns));
+                route
+            })
+            .collect()
+    }
+
+    /// Flat per-query costs, whatever the streak.
+    fn flat(inline: u64, fan_out: u64) -> impl Fn(ReadRoute, u32) -> u64 {
+        move |route, _| match route {
+            ReadRoute::Inline => inline,
+            ReadRoute::FanOut => fan_out,
+        }
+    }
+
+    /// Batch positions (0-based) that took `route`.
+    fn positions(routes: &[ReadRoute], route: ReadRoute) -> Vec<u32> {
+        (0..routes.len() as u32)
+            .filter(|&i| routes[i as usize] == route)
+            .collect()
+    }
+
+    const RUN: u32 = EXPLORE_RUN;
+
+    /// A new class's first cycle: `RUN` batches, then its first trial.
+    const FIRST: u32 = 3 * RUN;
+
+    #[test]
+    fn a_cold_class_runs_inline_until_its_first_trial() {
+        let mut c = RouteChooser::default();
+        let gap = drive(&mut c, 8, RUN, flat(500, 100));
+        assert!(gap.iter().all(|&r| r == ReadRoute::Inline));
+        // the trial: an exploring run on fan-out, a control run inline
+        let trial = drive(&mut c, 8, 2 * RUN, flat(500, 100));
+        assert_eq!(
+            positions(&trial, ReadRoute::FanOut),
+            (0..RUN).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_class_where_fan_out_is_measured_cheaper_fans_out() {
+        let mut c = RouteChooser::default();
+        drive(&mut c, 64, FIRST, flat(300, 100));
+        let next = drive(&mut c, 64, EXPLORE_EVERY, flat(300, 100));
+        assert!(next.iter().all(|&r| r == ReadRoute::FanOut));
+        // and where inline is cheaper, the class stays inline
+        let mut c = RouteChooser::default();
+        drive(&mut c, 64, FIRST, flat(100, 300));
+        let next = drive(&mut c, 64, 2 * EXPLORE_EVERY, flat(100, 300));
+        assert!(next.iter().all(|&r| r == ReadRoute::Inline));
+    }
+
+    #[test]
+    fn exploring_runs_take_the_other_route_and_back_off_while_confirmed() {
+        let mut c = RouteChooser::default();
+        for k in 0..8 {
+            let gap = match k {
+                0 => RUN,
+                k => (EXPLORE_EVERY << k).min(EXPLORE_MAX),
+            };
+            let routes = drive(&mut c, 4, gap + 2 * RUN, flat(100, 300));
+            assert_eq!(
+                positions(&routes, ReadRoute::FanOut),
+                (gap..gap + RUN).collect::<Vec<_>>(),
+                "cycle {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_contrary_trial_does_not_flip_a_class_but_a_collapse_does() {
+        let mut c = RouteChooser::default();
+        // trial 1: fan-out at half the cost wins, and the gap restarts
+        drive(&mut c, 32, FIRST, flat(200, 100));
+        // trial 2: inline 10% cheaper, once — the class stays on fan-out
+        let routes = drive(&mut c, 32, EXPLORE_EVERY + 2 * RUN, flat(100, 110));
+        assert_eq!(
+            positions(&routes, ReadRoute::Inline),
+            (EXPLORE_EVERY..EXPLORE_EVERY + RUN).collect::<Vec<_>>()
+        );
+        // trial 3 (the gap has doubled): fan-out collapses twentyfold
+        let gap = 2 * EXPLORE_EVERY;
+        drive(&mut c, 32, gap + 2 * RUN, flat(100, 2_000));
+        // so the class runs inline, with the gap back at its start
+        let routes = drive(&mut c, 32, EXPLORE_EVERY + 2 * RUN, flat(100, 2_000));
+        assert_eq!(
+            positions(&routes, ReadRoute::FanOut),
+            (EXPLORE_EVERY..EXPLORE_EVERY + RUN).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn warm_up_batches_are_not_timed() {
+        // fan-out is 100x dearer for its first WARMUP batches in a row,
+        // and half the price after: it still wins its trial
+        let mut c = RouteChooser::default();
+        let cost = |route, streak| match route {
+            ReadRoute::Inline => 200,
+            ReadRoute::FanOut if streak <= WARMUP => 20_000,
+            ReadRoute::FanOut => 100,
+        };
+        drive(&mut c, 16, FIRST, cost);
+        assert_eq!(c.choose(16), ReadRoute::FanOut);
+    }
+
+    #[test]
+    fn classes_are_independent() {
+        let mut c = RouteChooser::default();
+        drive(&mut c, 64, FIRST, flat(300, 100));
+        // the singleton class has seen nothing: inline until its first
+        // trial, while the 64-query class keeps fanning out
+        let singles = drive(&mut c, 1, RUN, flat(300, 100));
+        assert!(singles.iter().all(|&r| r == ReadRoute::Inline));
+        assert_eq!(c.choose(64), ReadRoute::FanOut);
+        // 64..=127 share a class; 128 starts the next one
+        assert_eq!(c.choose(127), ReadRoute::FanOut);
+        assert_eq!(c.choose(128), ReadRoute::Inline);
+    }
+
+    /// Sorted ids of a solo query on `s`.
+    fn solo_sorted(s: &Session<HintMSubs>, q: RangeQuery) -> Vec<u64> {
+        let mut ids = Vec::new();
+        s.query_sink(q, &mut ids);
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn a_singleton_batch_walks_inline() {
+        let s = session();
+        let before = s.pool().stats();
+        let q = RangeQuery::new(10, 20); // inside shard 0
+        let mut sinks = vec![Vec::new()];
+        s.query_batch_merge(&[q], &mut sinks);
+        let after = s.pool().stats();
+        assert_eq!(after.batches - before.batches, 1);
+        assert_eq!(after.inline - before.inline, 1);
+        assert_eq!(after.routed - before.routed, 1);
+        assert_eq!(after.dispatched - before.dispatched, 1);
+        let mut got = sinks.pop().unwrap();
+        got.sort_unstable();
+        assert_eq!(got, solo_sorted(&s, q));
+    }
+
+    #[test]
+    fn both_routes_match_the_oracle_for_every_sink() {
+        let s = session();
+        let oracle = ScanOracle::new(&data());
+        let queries: Vec<RangeQuery> = (0..40)
+            .map(|i| RangeQuery::new(i * 97, i * 97 + (i % 7) * 300))
+            .chain([RangeQuery::new(0, 4_095), RangeQuery::new(4_000, 4_095)])
+            .collect();
+        let mut by_route = Vec::new();
+        for route in [ReadRoute::Inline, ReadRoute::FanOut] {
+            let mut ids: Vec<Vec<u64>> = queries.iter().map(|_| Vec::new()).collect();
+            s.query_batch_merge_via(route, &queries, &mut ids);
+            let mut counts = vec![CountSink::new(); queries.len()];
+            s.query_batch_merge_via(route, &queries, &mut counts);
+            let mut exists = vec![ExistsSink::new(); queries.len()];
+            s.query_batch_merge_via(route, &queries, &mut exists);
+            let mut firsts: Vec<FirstK> = queries.iter().map(|_| FirstK::new(3)).collect();
+            s.query_batch_merge_via(route, &queries, &mut firsts);
+            for (i, &q) in queries.iter().enumerate() {
+                let want = oracle.query_sorted(q);
+                let mut solo = Vec::new();
+                s.query_sink(q, &mut solo);
+                assert_eq!(ids[i], solo, "{route:?} {q:?}: not the solo order");
+                assert_eq!(counts[i].count(), want.len(), "{route:?} {q:?}");
+                assert_eq!(exists[i].found(), !want.is_empty(), "{route:?} {q:?}");
+                let mut first = FirstK::new(3);
+                s.query_sink(q, &mut first);
+                assert_eq!(firsts[i].ids(), first.ids(), "{route:?} {q:?}");
+                let mut sorted = ids[i].clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, want, "{route:?} {q:?}");
+            }
+            by_route.push(ids);
+        }
+        assert_eq!(by_route[0], by_route[1], "the routes differ");
+    }
+
+    /// A collecting sink whose forks panic on their first id: a fanned
+    /// batch into it dies on the helpers.
+    struct PanickingFork {
+        ids: Vec<u64>,
+        is_fork: bool,
+    }
+
+    impl QuerySink for PanickingFork {
+        fn emit(&mut self, id: u64) {
+            assert!(!self.is_fork, "injected helper panic");
+            self.ids.push(id);
+        }
+    }
+
+    impl MergeableSink for PanickingFork {
+        fn fork(&self) -> Self {
+            Self {
+                ids: Vec::new(),
+                is_fork: true,
+            }
+        }
+        fn merge(&mut self, other: Self) {
+            self.ids.extend(other.ids);
+        }
+    }
+
+    #[test]
+    fn a_write_right_after_a_failed_fan_out_succeeds() {
+        let mut s = session();
+        let mut oracle = ScanOracle::new(&data());
+        let queries = vec![RangeQuery::new(0, 4_095); 4];
+        let mut sinks: Vec<PanickingFork> = queries
+            .iter()
+            .map(|_| PanickingFork {
+                ids: Vec::new(),
+                is_fork: false,
+            })
+            .collect();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.query_batch_merge_via(ReadRoute::FanOut, &queries, &mut sinks)
+        }));
+        assert!(failed.is_err(), "the fanned batch must fail");
+        // every lent shard is back: writes, a reseal and reads succeed
+        let fresh = Interval::new(20_000, 1_000, 3_500);
+        s.try_insert(fresh).unwrap();
+        oracle.insert(fresh);
+        let victim = data()[5];
+        assert!(s.delete(&victim));
+        oracle.delete(victim.id);
+        assert!(s.seal_if_dirty());
+        for q in [RangeQuery::new(0, 4_095), RangeQuery::new(900, 1_100)] {
+            assert_eq!(solo_sorted(&s, q), oracle.query_sorted(q), "{q:?}");
+            let mut fanned = vec![Vec::new()];
+            s.query_batch_merge_via(ReadRoute::FanOut, &[q], &mut fanned);
+            fanned[0].sort_unstable();
+            assert_eq!(fanned[0], oracle.query_sorted(q), "{q:?}");
+        }
     }
 
     fn drain(s: &Session<HintMSubs>) -> Vec<Vec<u64>> {

@@ -24,11 +24,12 @@
 //! order) or the batch path ([`ShardedIndex::query_batch`],
 //! [`ShardedIndex::query_batch_merge`]), which routes a whole batch once
 //! and drains each shard's sub-batch into the callers' sinks, in shard
-//! order, on the calling thread. Fanning a batch out across threads is
-//! [`crate::ShardPool`]'s job; both routes share this module's routing
-//! rules (`Router`) and per-shard walks and write legs. Writes route to
-//! exactly the shards whose ranges the new interval overlaps
-//! ([`MutableIndex`]).
+//! order, on the calling thread. [`crate::ShardPool`] runs the same
+//! inline walks over the shards it owns, and can also fan a batch out
+//! across threads; both share this module's routing rules (`Router`),
+//! inline walks (`query_solo`, `drain_inline`), per-shard walks and
+//! write legs. Writes route to exactly the shards whose ranges the new
+//! interval overlaps ([`MutableIndex`]).
 //!
 //! ```
 //! use hint_core::{Hint, Interval, IntervalIndex, RangeQuery, ShardedIndex};
@@ -47,6 +48,7 @@
 use crate::interval::{Interval, IntervalId, RangeQuery, Time};
 use crate::sink::QuerySink;
 use crate::IntervalIndex;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Write interface shared by the updatable indexes in the workspace
@@ -316,7 +318,7 @@ impl<I: IntervalIndex> Shard<I> {
     /// clustering pass reorders them), so each entry *takes* its sink
     /// out of a per-query slot — a sub-batch never repeats a query, so
     /// every take succeeds.
-    pub(crate) fn run_inline<S: QuerySink>(&self, sub: &[Routed], sinks: &mut [S]) {
+    fn run_inline<S: QuerySink>(&self, sub: &[Routed], sinks: &mut [S]) {
         let mut slots: Vec<Option<&mut S>> = sinks.iter_mut().map(Some).collect();
         let picked = sub
             .iter()
@@ -329,9 +331,9 @@ impl<I: IntervalIndex> Shard<I> {
         self.walk(sub, picked);
     }
 
-    /// The worker route ([`crate::ShardPool`]): drains a routed sub-batch
-    /// into the sink forks it carries and hands them back tagged with
-    /// their query positions. Fork saturation propagates into the scan,
+    /// The fan-out route ([`crate::ShardPool`]): drains a routed
+    /// sub-batch into the sink forks it carries and hands them back
+    /// tagged with their query positions. Fork saturation propagates into the scan,
     /// so saturating sinks keep their early exit within each shard.
     pub(crate) fn run_forks<S: QuerySink>(&self, job: Vec<(Routed, S)>) -> Vec<(u32, S)> {
         let (sub, mut forks): (Vec<Routed>, Vec<S>) = job.into_iter().unzip();
@@ -365,13 +367,74 @@ impl<I: MutableIndex> Shard<I> {
     }
 }
 
+/// Solo query over `shards` (the shards `router` was built from),
+/// visiting the routed shards in domain order and stopping once the
+/// sink saturates. Returns how many routed shards were walked and how
+/// many were skipped.
+pub(crate) fn query_solo<I, B, S>(
+    router: &Router,
+    shards: &[B],
+    q: RangeQuery,
+    sink: &mut S,
+) -> (usize, usize)
+where
+    I: IntervalIndex,
+    B: Borrow<Shard<I>>,
+    S: QuerySink + ?Sized,
+{
+    let (lo, hi) = router.route(q);
+    for (j, shard) in shards.iter().enumerate().take(hi + 1).skip(lo) {
+        if sink.is_saturated() {
+            return (j - lo, hi - j + 1);
+        }
+        let lq = router.local_query(j, q, lo, hi);
+        shard.borrow().query_local(lq, j == lo, sink);
+    }
+    (hi - lo + 1, 0)
+}
+
+/// The inline batch route over a routed `plan`: each shard's sub-batch,
+/// in shard order, drained straight into the callers' sinks as one
+/// shared walk of the shard's inner index. Entries whose sink saturated
+/// at an earlier shard are skipped, not walked — what a solo query's
+/// shard-order visit does. Returns how many entries were walked and how
+/// many were skipped.
+pub(crate) fn drain_inline<I, B, S>(
+    shards: &[B],
+    plan: &[Vec<Routed>],
+    sinks: &mut [S],
+) -> (usize, usize)
+where
+    I: IntervalIndex,
+    B: Borrow<Shard<I>>,
+    S: QuerySink,
+{
+    let (mut walked, mut skipped) = (0, 0);
+    let mut live: Vec<Routed> = Vec::new();
+    for (shard, sub) in shards.iter().zip(plan) {
+        let sub: &[Routed] = if sub.iter().any(|e| sinks[e.0 as usize].is_saturated()) {
+            live.clear();
+            live.extend(sub.iter().filter(|e| !sinks[e.0 as usize].is_saturated()));
+            skipped += sub.len() - live.len();
+            &live
+        } else {
+            sub
+        };
+        if !sub.is_empty() {
+            walked += sub.len();
+            shard.borrow().run_inline(sub, sinks);
+        }
+    }
+    (walked, skipped)
+}
+
 /// One routed entry of a shard's sub-batch: the position of the query in
 /// the caller's batch, the shard-local sub-query, and whether this shard
 /// is the first the query routes to (replicas are reported there).
 pub(crate) type Routed = (u32, RangeQuery, bool);
 
-/// The routing rules of both read routes — the inline walk on
-/// [`ShardedIndex`] and the worker fan-out of [`crate::ShardPool`]: the
+/// The routing rules of both read routes — the inline walks and the
+/// fan-out of [`crate::ShardPool`]: the
 /// shards' inclusive domain ranges, ascending, and how queries and
 /// writes map onto them.
 #[derive(Clone, Debug)]
@@ -631,14 +694,7 @@ impl<I: IntervalIndex> ShardedIndex<I> {
     /// Reports all intervals overlapping `q` exactly once, visiting the
     /// routed shards sequentially in domain order.
     pub fn query_sink<S: QuerySink + ?Sized>(&self, q: RangeQuery, sink: &mut S) {
-        let (lo, hi) = self.router.route(q);
-        for j in lo..=hi {
-            if sink.is_saturated() {
-                return;
-            }
-            let lq = self.router.local_query(j, q, lo, hi);
-            self.shards[j].query_local(lq, j == lo, sink);
-        }
+        query_solo(&self.router, &self.shards, q, sink);
     }
 
     /// Enumerates all intervals overlapping `q` into `out`.
@@ -651,7 +707,8 @@ impl<I: IntervalIndex> ShardedIndex<I> {
     /// into the callers' sinks, in shard order, as one shared walk of the
     /// shard's inner index. Each sink ends up with exactly what a solo
     /// [`query_sink`](Self::query_sink) call would have emitted, in the
-    /// same order, and caller saturation is visible to the scans.
+    /// same order; caller saturation is visible to the scans, and a
+    /// query whose sink saturated is not walked on later shards.
     ///
     /// # Panics
     /// Panics if `queries` and `sinks` have different lengths.
@@ -671,15 +728,11 @@ impl<I: IntervalIndex> ShardedIndex<I> {
         assert_eq!(queries.len(), sinks.len(), "one sink per query");
         let mut plan = Vec::new();
         self.router.plan_into(queries, &mut plan);
-        for (shard, sub) in self.shards.iter().zip(&plan) {
-            if !sub.is_empty() {
-                shard.run_inline(sub, sinks);
-            }
-        }
+        drain_inline(&self.shards, &plan, sinks);
     }
 
     /// Decomposes the index into its shards and live count — the handoff
-    /// that moves each shard into its [`crate::ShardPool`] worker thread.
+    /// to a [`crate::ShardPool`].
     pub(crate) fn into_parts(self) -> (Vec<Shard<I>>, usize) {
         (self.shards, self.live)
     }
@@ -752,9 +805,9 @@ impl<I: MutableIndex> ShardedIndex<I> {
     /// contents, same shard range), returning whether the inner index
     /// supported the rebuild. Results are bit-identical before and
     /// after — only the shard's traversal cost (and replication) change.
-    /// This is the in-place spelling of serve-time re-tuning; the worker
-    /// pool ([`crate::ShardPool`]) runs the same rebuild on the owning
-    /// worker thread.
+    /// This is the in-place spelling of serve-time re-tuning
+    /// ([`crate::ShardPool::retune_shard`] picks `m` from the cost
+    /// model).
     ///
     /// # Panics
     /// Panics if `j` is out of range.

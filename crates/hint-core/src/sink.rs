@@ -167,9 +167,10 @@ pub trait QuerySink {
 
 /// A sink whose work can be split across parallel workers and recombined.
 ///
-/// The shard-worker pool ([`crate::ShardPool`]) gives every worker
-/// thread a private [`fork`](Self::fork) of the caller's sink, lets the
-/// workers drain their shard-local results into the forks concurrently,
+/// The shard pool's fan-out ([`crate::ShardPool::query_batch_merge`])
+/// gives every helper thread a private [`fork`](Self::fork) of the
+/// caller's sink, lets the helpers drain their shard-local results into
+/// the forks concurrently,
 /// and then folds the forks back with [`merge`](Self::merge) — always on
 /// the caller's thread, always in ascending shard order, so collecting
 /// sinks stay deterministic without any locking on the emit path.
@@ -187,12 +188,12 @@ pub trait QuerySink {
 ///   shard order.
 pub trait MergeableSink: QuerySink {
     /// A fresh, empty sink of the same kind (same `k`, same bounds) for a
-    /// worker thread to fill.
+    /// helper thread to fill.
     fn fork(&self) -> Self
     where
         Self: Sized;
 
-    /// Folds a worker's fork into `self`. Called once per fork, in shard
+    /// Folds a helper's fork into `self`. Called once per fork, in shard
     /// order, on the caller's thread.
     fn merge(&mut self, other: Self)
     where
@@ -202,7 +203,7 @@ pub trait MergeableSink: QuerySink {
     /// ([`FirstK`], [`ExistsSink`]). Executors use this to pick a
     /// dispatch strategy: a batch of bounded sinks is dispatched shard
     /// by shard so a saturated query stops being sent to the remaining
-    /// shards at all (see the worker pool in [`crate::pool`]), while
+    /// shards at all (see the shard pool in [`crate::pool`]), while
     /// unbounded sinks fan out to every routed shard at once.
     fn is_bounded(&self) -> bool {
         false
@@ -796,7 +797,7 @@ impl<F: FnMut(&[IntervalId])> QuerySink for SliceSink<F> {
 /// typically an `Arc`-shared id → interval table owned by whoever also
 /// owns the index (the serving catalog keeps one per named index) — and
 /// resolve at emit time. Forks clone the lookup (an `Arc` bump), so the
-/// table is shared, not copied, across shard workers.
+/// table is shared, not copied, across forks.
 ///
 /// `get` returning `None` means the id is unknown to the table; the
 /// aggregation sinks skip such emissions. With a table maintained in

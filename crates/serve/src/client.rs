@@ -11,8 +11,8 @@
 //! connections.
 
 use crate::proto::{
-    encode_request_flagged, DecodeError, Frame, FrameReader, IndexInfo, Kind, Reply, Request,
-    Status, READ_BUF,
+    encode_request_on, DecodeError, Frame, FrameReader, IndexInfo, Kind, Reply, Request, Status,
+    READ_BUF,
 };
 use crate::transport::Transport;
 use bytes::{Buf, BytesMut};
@@ -79,20 +79,8 @@ impl<T: Transport> Client<T> {
     /// Sends one request addressed at an explicit catalog index
     /// (pipelining). `None` falls back to the connection's default.
     pub fn send_on(&mut self, index: Option<u32>, req: &Request) -> io::Result<()> {
-        self.send_flagged(index, false, req)
-    }
-
-    /// Sends one request with full wire-flag control (pipelining).
-    /// `priority` sets the `FLAG_PRIORITY` bit, which the server
-    /// accepts and ignores (see `docs/protocol.md`).
-    pub fn send_flagged(
-        &mut self,
-        index: Option<u32>,
-        priority: bool,
-        req: &Request,
-    ) -> io::Result<()> {
         self.scratch.clear();
-        encode_request_flagged(&mut self.scratch, index, priority, req);
+        encode_request_on(&mut self.scratch, index, req);
         self.writer.write_all(self.scratch.as_slice())?;
         self.writer.flush()
     }

@@ -7,9 +7,10 @@
 //! [batch scheduler](server) that accumulates queries from independent
 //! client connections into cross-connection batches, hands each batch
 //! to [`Session::query_batch_merge`](hint_core::Session::query_batch_merge)
-//! (which forks it across the session's shard workers, one level walk
-//! per shard, and merges the forks back in shard order; see
-//! [`ShardPool`](hint_core::ShardPool)), and streams each query's
+//! (which walks it inline or forks it across the session's shard
+//! helpers — one level walk per shard either way, forks merged back in
+//! shard order; see [`ShardPool`](hint_core::ShardPool)), and streams
+//! each query's
 //! results back to its connection through incremental [`WireSink`]
 //! encoding — no full-result `Vec` per query, ever.
 //!

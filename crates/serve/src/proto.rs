@@ -42,8 +42,9 @@ pub const VERSION: u8 = 1;
 /// traffic is untouched by the multi-index surface.
 pub const FLAG_INDEXED: u8 = 0x01;
 /// Header flag bit: a scheduling hint asking for priority. It is
-/// decoded and accepted, and the scheduler ignores it (see
-/// `docs/protocol.md`), so the bit is always safe to set.
+/// accepted and ignored — a flagged frame decodes to the same
+/// [`Command`] as an unflagged one (see `docs/protocol.md`) — so the
+/// bit is always safe to set.
 pub const FLAG_PRIORITY: u8 = 0x02;
 /// Longest index name the catalog verbs accept, in bytes (the `Info`
 /// encoding carries the length in one byte).
@@ -277,9 +278,6 @@ pub enum Request {
 pub struct Command {
     /// Explicit index id, if the frame carried the [`FLAG_INDEXED`] bit.
     pub index: Option<u32>,
-    /// True when the frame carried the [`FLAG_PRIORITY`] bit (a hint
-    /// the scheduler ignores).
-    pub priority: bool,
     /// The verb itself.
     pub verb: Request,
 }
@@ -458,29 +456,16 @@ pub fn encode_request(out: &mut BytesMut, req: &Request) {
 }
 
 /// Encodes a request frame, optionally addressed to an explicit catalog
-/// index via the [`FLAG_INDEXED`] payload prefix.
-pub fn encode_request_on(out: &mut BytesMut, index: Option<u32>, req: &Request) {
-    encode_request_flagged(out, index, false, req)
-}
-
-/// Encodes a request frame with full flag control: optional explicit
-/// catalog index ([`FLAG_INDEXED`] payload prefix) and the
-/// [`FLAG_PRIORITY`] hint. With `index: None, priority: false`
+/// index via the [`FLAG_INDEXED`] payload prefix. With `index: None`
 /// the encoding is byte-identical to [`encode_request`].
-pub fn encode_request_flagged(
-    out: &mut BytesMut,
-    index: Option<u32>,
-    priority: bool,
-    req: &Request,
-) {
+pub fn encode_request_on(out: &mut BytesMut, index: Option<u32>, req: &Request) {
     let (kind, body) = encode_verb(req);
-    let pri = if priority { FLAG_PRIORITY } else { 0 };
     match index {
         None => {
-            put_header_flags(out, kind, pri, body.len() as u32);
+            put_header_flags(out, kind, 0, body.len() as u32);
         }
         Some(ix) => {
-            put_header_flags(out, kind, FLAG_INDEXED | pri, body.len() as u32 + 4);
+            put_header_flags(out, kind, FLAG_INDEXED, body.len() as u32 + 4);
             out.put_u32_le(ix);
         }
     }
@@ -589,9 +574,10 @@ impl Frame {
     }
 
     /// Interprets this frame as a [`Command`]: the optional
-    /// [`FLAG_INDEXED`] index prefix, the [`FLAG_PRIORITY`] hint,
-    /// plus the verb. Unknown flag bits are rejected recoverably
-    /// ([`Status::BadVerb`]) rather than silently misread.
+    /// [`FLAG_INDEXED`] index prefix plus the verb. The
+    /// [`FLAG_PRIORITY`] hint is accepted and ignored; unknown flag bits
+    /// are rejected recoverably ([`Status::BadVerb`]) rather than
+    /// silently misread.
     pub fn to_command(&self) -> Result<Command, Status> {
         let mut p = self.payload.clone();
         if self.flags & !(FLAG_INDEXED | FLAG_PRIORITY) != 0 {
@@ -605,13 +591,8 @@ impl Frame {
         } else {
             None
         };
-        let priority = self.flags & FLAG_PRIORITY != 0;
         let verb = self.parse_verb(p)?;
-        Ok(Command {
-            index,
-            priority,
-            verb,
-        })
+        Ok(Command { index, verb })
     }
 
     /// Decodes an index name payload: non-empty, bounded, UTF-8.
@@ -1021,35 +1002,32 @@ mod tests {
 
     #[test]
     fn priority_flag_roundtrips_alone_and_with_indexing() {
-        // priority without an index prefix: flags carry only 0x02 and
-        // the payload is byte-identical to the unflagged encoding
+        // the priority bit, set on a raw frame alone or beside the index
+        // prefix, decodes to the same command as the unflagged frame
         let q = Request::Query(RangeQuery::new(3, 999));
-        let mut plain = BytesMut::new();
-        encode_request(&mut plain, &q);
-        let mut pri = BytesMut::new();
-        encode_request_flagged(&mut pri, None, true, &q);
-        assert_eq!(plain.as_slice()[HEADER_LEN..], pri.as_slice()[HEADER_LEN..]);
-        let f = reader(Vec::from(pri)).read_frame().unwrap().unwrap();
-        assert_eq!(f.flags, FLAG_PRIORITY);
-        let cmd = f.to_command().unwrap();
-        assert!(cmd.priority);
-        assert_eq!(cmd.index, None);
-        assert_eq!(cmd.verb, q);
-        // priority + explicit index compose
-        let mut both = BytesMut::new();
-        encode_request_flagged(&mut both, Some(7), true, &q);
-        let f = reader(Vec::from(both)).read_frame().unwrap().unwrap();
-        assert_eq!(f.flags, FLAG_INDEXED | FLAG_PRIORITY);
-        let cmd = f.to_command().unwrap();
-        assert!(cmd.priority);
-        assert_eq!(cmd.index, Some(7));
-        assert_eq!(cmd.verb, q);
-        // the unflagged path reports priority: false
-        let f = reader(Vec::from(plain)).read_frame().unwrap().unwrap();
-        assert!(!f.to_command().unwrap().priority);
-        // encode_request_flagged(None, false) is encode_request
+        for index in [None, Some(7)] {
+            let mut plain = BytesMut::new();
+            encode_request_on(&mut plain, index, &q);
+            let mut flagged = Vec::from(plain.clone());
+            flagged[3] |= FLAG_PRIORITY; // the header's flags byte
+            let f = reader(flagged).read_frame().unwrap().unwrap();
+            let want = if index.is_some() { FLAG_INDEXED } else { 0 };
+            assert_eq!(f.flags, want | FLAG_PRIORITY);
+            let cmd = f.to_command().unwrap();
+            assert_eq!(
+                cmd,
+                Command {
+                    index,
+                    verb: q.clone()
+                }
+            );
+            let f = reader(Vec::from(plain)).read_frame().unwrap().unwrap();
+            assert_eq!(f.flags, want);
+            assert_eq!(f.to_command().unwrap(), cmd);
+        }
+        // encode_request_on(None) is encode_request
         let mut flagless = BytesMut::new();
-        encode_request_flagged(&mut flagless, None, false, &q);
+        encode_request_on(&mut flagless, None, &q);
         let mut want = BytesMut::new();
         encode_request(&mut want, &q);
         assert_eq!(flagless, want);

@@ -10,13 +10,13 @@
 //! connection contributes a **reader** thread (decode frames → ops
 //! channel) and a **writer** thread (response-bytes channel → transport).
 //! All cross-thread traffic flows over the vendored `crossbeam`
-//! channels. The session keeps each shard on its own persistent,
-//! optionally core-pinned worker thread (`hint_core::ShardPool`,
-//! `HINT_SHARD_PIN`), so `query_batch_merge` dispatches sub-batches
-//! over channels with zero per-batch thread spawns; serving parallelism
-//! and index parallelism compose without sharing state. That owning
-//! worker is the only route a read takes to its shard, so a read queued
-//! after a write always sees it. Between
+//! channels. The session's shards live on the scheduler thread too
+//! (`hint_core::ShardPool`), and `query_batch_merge` walks each batch
+//! either right there or fanned out to the pool's persistent helper
+//! threads (one per shard, zero per-batch spawns), whichever the session
+//! has measured cheaper for batches of that size. Writes apply directly
+//! to the shards between batches, so a read queued after a write always
+//! sees it. Between
 //! batches, when the request stream goes idle, the scheduler may reseal
 //! dirty shards at a re-tuned per-shard `m` chosen from the observed
 //! query-extent mix (`HINT_SERVE_RETUNE=idle`; see `docs/tuning.md`).
@@ -1744,11 +1744,7 @@ mod tests {
 
     /// An un-addressed, unflagged command.
     fn cmd(verb: Request) -> Command {
-        Command {
-            index: None,
-            priority: false,
-            verb,
-        }
+        Command { index: None, verb }
     }
 
     /// Polls `done` until it holds, failing the test after 10 s instead
@@ -1905,11 +1901,7 @@ mod tests {
             max_pending: 16,
         };
         let conns: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        let read = Command {
-            index: None,
-            priority: false,
-            verb: Request::Query(RangeQuery::new(0, 99)),
-        };
+        let read = cmd(Request::Query(RangeQuery::new(0, 99)));
         let mut admitted = 0;
         for conn in &conns {
             for _ in 0..10 {
@@ -1977,9 +1969,20 @@ mod tests {
         let (ops, rx) = unbounded();
         let a = TestConn::open(&ops, 1);
         let b = TestConn::open(&ops, 2);
-        let flagged = |q| Command {
-            priority: true,
-            ..cmd(Request::Query(q))
+        // decoded from a raw frame with the priority bit set
+        let flagged = |q| {
+            let mut frame = BytesMut::new();
+            crate::proto::encode_request(&mut frame, &Request::Query(q));
+            let mut frame = Vec::from(frame);
+            frame[3] |= crate::proto::FLAG_PRIORITY; // the header's flags byte
+            let decoded = crate::proto::FrameReader::new(frame.as_slice())
+                .read_frame()
+                .unwrap()
+                .unwrap()
+                .to_command()
+                .unwrap();
+            assert_eq!(decoded, cmd(Request::Query(q)));
+            decoded
         };
         a.send_cmds(
             &ops,

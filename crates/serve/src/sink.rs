@@ -1,15 +1,15 @@
 //! The demultiplexing result encoder: one [`WireSink`] per in-flight
-//! query turns the shard workers' merged batch walk into per-connection
+//! query turns the session's batch walk into per-connection
 //! response bytes, with no intermediate `Vec<IntervalId>` per query.
 //!
 //! The scheduler hands the batch to
 //! [`Session::query_batch_merge`](hint_core::Session::query_batch_merge),
-//! which dispatches it to the session's
+//! which walks it through the session's
 //! [`ShardPool`](hint_core::ShardPool), with one `WireSink` per query;
 //! every id the index reports is encoded
 //! straight into the sink's little-endian payload buffer (a bulk
 //! `emit_slice` run becomes one `memcpy`-shaped loop), and the
-//! [`MergeableSink`] contract makes the parallel path free: a worker's
+//! [`MergeableSink`] contract makes the parallel path free: a helper's
 //! fork is another byte buffer, and merging is buffer concatenation in
 //! shard order — bit-identical to the sequential emission order. When
 //! the batch returns, [`WireSink::into_frames`] chops the payload into

@@ -12,9 +12,12 @@ use hint_core::{
     ShardedIndex, SubsConfig,
 };
 use serve::proto::encode_request;
-use serve::{duplex, Client, DuplexTransport, Request, ServeConfig, Server, Status, Transport};
+use serve::{
+    duplex, Client, DuplexTransport, Request, ServeConfig, Server, Status, Transport, FLAG_PRIORITY,
+};
 use std::cell::RefCell;
 use std::io::Write;
+use std::sync::{Arc, Mutex};
 use test_support::{expect_same_results, fuzz};
 
 const DOM: u64 = 8_192;
@@ -83,6 +86,21 @@ fn batched_scheduler_matches_direct_query_sink() {
     }
 }
 
+/// A write half shared between a [`Client`] and the test, so raw frames
+/// can be written in order between the client's own sends (each of
+/// which the client flushes at once).
+struct SharedWriter<W>(Arc<Mutex<W>>);
+
+impl<W: Write> Write for SharedWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.lock().unwrap().flush()
+    }
+}
+
 /// One connection pipelines a mixed script — plain queries,
 /// priority-flagged queries (the bit is accepted and ignored), bounded
 /// verbs, and writes — and every reply must arrive in request order,
@@ -92,7 +110,11 @@ fn batched_scheduler_matches_direct_query_sink() {
 fn mixed_priority_pipeline_preserves_per_connection_fifo() {
     let w = fuzz::workload(0xa05_0002, DOM, 500, 0, 0);
     let server = start_server(&w.data, 4, ServeConfig::default());
-    let mut client = connect(&server);
+    let (client_end, server_end) = duplex();
+    server.attach(server_end);
+    let (reader, writer) = client_end.split().unwrap();
+    let mut raw = SharedWriter(Arc::new(Mutex::new(writer)));
+    let mut client = Client::new(Halves(reader, SharedWriter(Arc::clone(&raw.0)))).unwrap();
     let mut oracle = ScanOracle::new(&w.data);
     // the oracle mirror for top-k: the live intervals with endpoints
     let mut live: Vec<Interval> = w.data.clone();
@@ -115,9 +137,13 @@ fn mixed_priority_pipeline_preserves_per_connection_fifo() {
                 client.send(&Request::Query(q)).unwrap();
                 expected.push(Expect::Ids(oracle.query_sorted(q)));
             }
-            // priority-flagged enumeration
+            // priority-flagged enumeration: the bit set on a raw frame
             1 => {
-                client.send_flagged(None, true, &Request::Query(q)).unwrap();
+                let mut frame = bytes::BytesMut::new();
+                encode_request(&mut frame, &Request::Query(q));
+                let mut frame = Vec::from(frame);
+                frame[3] |= FLAG_PRIORITY; // the header's flags byte
+                raw.write_all(&frame).unwrap();
                 expected.push(Expect::Ids(oracle.query_sorted(q)));
             }
             // a write barrier mid-pipeline

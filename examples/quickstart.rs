@@ -123,12 +123,12 @@ fn main() {
     drop(client);
     server.shutdown();
 
-    // --- 10. pinned shard workers + serve-time m re-tuning --------------
-    // A `Session` moves every shard into a persistent worker thread (a
-    // `ShardPool`): batches are dispatched over channels with zero
-    // per-batch thread spawns, and with HINT_SHARD_PIN=1 each worker
-    // pins itself to a core so a shard's sealed arenas stay hot in one
-    // cache. The session also records the query-extent mix each shard
+    // --- 10. the shard pool + serve-time m re-tuning --------------------
+    // A `Session` owns its shards through a `ShardPool` with one helper
+    // thread per shard: each batch is walked inline or fanned out to the
+    // helpers, whichever the session has measured cheaper for batches of
+    // its size, with zero per-batch thread spawns. The session also
+    // records the query-extent mix each shard
     // actually serves; under HINT_SERVE_RETUNE=seal (or `idle`, which
     // additionally reseals between batches when the server goes quiet),
     // a dirty shard is resealed at the m the §3.3 cost model picks for

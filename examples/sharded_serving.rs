@@ -3,7 +3,8 @@
 //! once, each shard's sub-batch one shared level walk) while writes keep
 //! routing to their owning shards. A `ShardPool` (see the
 //! `serve_client` example, which serves through one) runs the same
-//! walks on persistent per-shard worker threads.
+//! walks, and can also fan a batch out to persistent per-shard helper
+//! threads.
 //!
 //! ```text
 //! cargo run --example sharded_serving --release

@@ -1,10 +1,10 @@
 //! Stateful lifecycle fuzz for the pooled serving engine: long seeded
 //! interleavings of insert / delete / seal / re-tune / query (solo,
 //! batched, merged, bounded sinks) driven through a [`Session`] — whose
-//! shards live on the persistent worker pool — against the `ScanOracle`
+//! shards live in its shard pool — against the `ScanOracle`
 //! twin, across the `HINT_TEST_SHARDS` sweep.
 //!
-//! Also home to the worker-pool shutdown/respawn coverage (drop a pool
+//! Also home to the shard-pool shutdown/respawn coverage (drop a pool
 //! mid-stream, reseal while a batch is pipelined behind the write
 //! barrier, rebuild a pool from a recovered index) and the re-tune
 //! correctness properties (a shard resealed at any `m' != m` answers
@@ -106,23 +106,22 @@ fn zero_copy_handles_survive_a_reseal_epoch() {
     }
 }
 
-// ---- worker-pool shutdown / respawn coverage -----------------------
+// ---- shard-pool shutdown / respawn coverage ------------------------
 
-/// Dropping a pool (and a session) with work still queued must drain
-/// and join without deadlocking — the drop path closes every task
-/// channel and joins the workers.
+/// Dropping a pool (and a session) right after a burst of writes must
+/// join without deadlocking — the drop path closes every job channel
+/// and joins the helpers.
 #[test]
 fn dropping_a_busy_pool_does_not_deadlock() {
     let w = fuzz::workload(0x11fe, DOM, 400, 0, 0);
     for k in shard_counts() {
         let mut pool = ShardPool::new(build_sharded(&w.data, k, SubsConfig::full()));
-        // queue fire-and-forget mutations the workers may still be
-        // draining when the pool is dropped
+        // a pool dropped right after a burst of writes
         for i in 0..256u64 {
             let st = (i * 13) % (DOM - 8);
             pool.insert(Interval::new(700_000 + i, st, st + 7));
         }
-        drop(pool); // must join every worker, not leak or hang
+        drop(pool); // must join every helper, not leak or hang
     }
     // the session spelling: drop with a dirty overlay and queued writes
     let mut session = Session::with_retune(
@@ -238,7 +237,7 @@ fn reseal_behind_the_write_barrier_keeps_replies_exact() {
     server.shutdown();
 }
 
-/// `into_index` recovers the shards from a pool's workers; a fresh pool
+/// `into_index` recovers the shards from a pool; a fresh pool
 /// spun up from the result answers identically — the respawn path a
 /// process uses to rebuild its pool after reconfiguring.
 #[test]
@@ -511,7 +510,7 @@ fn session_retune_end_to_end_preserves_results() {
 }
 
 /// The dispatch-stop fix, end to end: a saturated first-k batch stops
-/// dispatching sub-queries to the remaining shard workers (counted by
+/// walking sub-queries on the remaining shards (counted by
 /// the pool's dispatch stats), at unchanged results.
 #[test]
 fn saturated_first_k_stops_dispatching_across_shards() {
