@@ -9,8 +9,7 @@
 //! dedup-on-emit). A batch is routed once; the index drains it shard by
 //! shard on the calling thread, while the pool's fan-out lends each
 //! shard to one persistent helper thread and merges the per-shard forks
-//! back in shard order. The session picks between those two routes per
-//! batch, by measured cost.
+//! back in shard order.
 //!
 //! Five execution modes per (dataset, extent, K):
 //!
@@ -18,7 +17,7 @@
 //!   routing overhead floor (no parallelism; should stay flat with K);
 //! * **batch** — the index's trait-level `query_batch`, draining each
 //!   shard's sub-batch into per-query `Vec`s on the calling thread;
-//! * **merge** — `Session::query_batch_merge` with zero-copy
+//! * **merge** — `Session::query_batch_inline` with zero-copy
 //!   `HandleSink`s: comparison-free runs reach the sinks as arena-slice
 //!   handles and nothing is materialized — the route and the shape the
 //!   wire server drives (its `WireSink` encodes frames straight from the

@@ -176,14 +176,12 @@ pub fn merge_batch_throughput<I: IntervalIndex>(
     })
 }
 
-/// Batched-query throughput through `Session::query_batch_merge` with
+/// Batched-query throughput through `Session::query_batch_inline` with
 /// **zero-copy [`HandleSink`](hint_core::HandleSink)s**: the read path
-/// as the wire server drives it, each batch on the route the session
-/// measured cheaper. Comparison-free runs reach the sinks as arena-slice
-/// handles (O(1) per run; on the fan-out route the merge concatenates
-/// run lists in shard order, O(runs), not O(ids)), and nothing is
-/// materialized — the consumer encodes frames straight from the arena
-/// slices (`serve`'s `WireSink`). Use [`assert_handle_merge_matches_solo`]
+/// as the wire server drives it, each batch walked on the calling
+/// thread. Comparison-free runs reach the sinks as arena-slice handles
+/// (O(1) per run), and nothing is materialized — the consumer encodes
+/// frames straight from the arena slices (`serve`'s `WireSink`). Use [`assert_handle_merge_matches_solo`]
 /// to pin the stream's content to the solo path's, id for id.
 pub fn merge_handle_throughput<I: MutableIndex + Send + Sync + 'static>(
     session: &hint_core::Session<I>,
@@ -200,7 +198,7 @@ pub fn merge_handle_throughput<I: MutableIndex + Send + Sync + 'static>(
         for s in sinks.iter_mut() {
             s.clear();
         }
-        session.query_batch_merge(chunk, sinks);
+        session.query_batch_inline(chunk, sinks);
         results += sinks.iter().map(|s| s.len() as u64).sum::<u64>();
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -225,7 +223,7 @@ pub fn assert_handle_merge_matches_solo<I: MutableIndex + Send + Sync + 'static>
     let mut solo: Vec<IntervalId> = Vec::new();
     for chunk in queries.chunks(batch.max(1)) {
         let mut sinks: Vec<HandleSink> = vec![HandleSink::new(); chunk.len()];
-        session.query_batch_merge(chunk, &mut sinks);
+        session.query_batch_inline(chunk, &mut sinks);
         for (q, sink) in chunk.iter().zip(sinks) {
             solo.clear();
             index.query(*q, &mut solo);

@@ -152,7 +152,7 @@ pub use join::{
 };
 pub use oracle::ScanOracle;
 pub use pool::{PoolError, PoolStats, ShardPool};
-pub use session::{ReadRoute, RetuneEvent, RetunePolicy, Session, WriteError};
+pub use session::{RetuneEvent, RetunePolicy, Session, WriteError};
 pub use shard::{MutableIndex, ShardedIndex};
 pub use sink::{
     ArenaRun, BucketHistogram, CollectSink, CountSink, ExistsSink, FirstK, FnSink, HandleSink,

@@ -8,11 +8,15 @@
 //! per-shard walks ([`crate::shard`]):
 //!
 //! * **Inline** ([`ShardPool::query_sink_pooled`], the `dyn`
-//!   [`IntervalIndex::query_batch`] and [`crate::Session`]'s inline
-//!   route): the batch is routed once and each shard's sub-batch is
-//!   drained straight into the callers' sinks, in shard order, on the
-//!   calling thread. No thread hop, nothing forked.
-//! * **Fan-out** ([`ShardPool::query_batch_merge`]): every active shard
+//!   [`IntervalIndex::query_batch`] and
+//!   [`Session::query_batch_inline`](crate::Session::query_batch_inline),
+//!   the route the wire server drives): the batch is routed once and
+//!   each shard's sub-batch is drained straight into the callers'
+//!   sinks, in shard order, on the calling thread. No thread hop,
+//!   nothing forked.
+//! * **Fan-out** ([`ShardPool::query_batch_merge`], and
+//!   [`Session::query_batch_merge`](crate::Session::query_batch_merge)
+//!   over it): every active shard
 //!   is *lent* to its helper as an `Arc` clone, with its routed
 //!   sub-batch and one sink fork per entry; the filled forks come back
 //!   and are merged on the calling thread in ascending shard order —
@@ -23,8 +27,8 @@
 //!   shards at all.
 //!
 //! On either route, [`ShardPool::stats`] counts the `(query, shard)`
-//! entries walked and the saturated ones skipped. [`crate::Session`]
-//! picks the route per batch, by measured cost.
+//! entries walked and the saturated ones skipped, and `inline` counts
+//! the batches walked on the calling thread.
 //!
 //! ## Ownership
 //!
@@ -529,15 +533,17 @@ impl<I: IntervalIndex + Send + Sync + 'static> ShardPool<I> {
     /// reseal for free (the inner indexes' idempotent fast path).
     ///
     /// # Panics
-    /// Panics if a shard's seal panicked; the shard is lost with it.
+    /// Panics if a shard's seal panicked, naming the lowest such shard.
+    /// Every shard is back in the pool first, the failed ones in
+    /// whatever state their seal left them, so the pool stays usable.
     pub fn seal_all(&mut self) {
-        let n = self.shards.len();
         let (tx, rx) = unbounded();
         for (j, mut shard) in std::mem::take(&mut self.shards).into_iter().enumerate() {
             let tx = tx.clone();
             let job: Job = Box::new(move || {
-                Arc::get_mut(&mut shard).expect(LENT).index.seal();
-                let _ = tx.send((j, shard));
+                let seal = || Arc::get_mut(&mut shard).expect(LENT).index.seal();
+                let sealed = catch_unwind(AssertUnwindSafe(seal)).is_ok();
+                let _ = tx.send((j, shard, sealed));
             });
             // a helper that is gone leaves its shard to seal here
             if let Err(unsent) = self.jobs[j].send(job) {
@@ -545,10 +551,16 @@ impl<I: IntervalIndex + Send + Sync + 'static> ShardPool<I> {
             }
         }
         drop(tx);
-        let mut sealed: Vec<(usize, Arc<Shard<I>>)> = rx.iter().collect();
-        assert_eq!(sealed.len(), n, "a shard's seal panicked");
-        sealed.sort_unstable_by_key(|&(j, _)| j);
-        self.shards = sealed.into_iter().map(|(_, shard)| shard).collect();
+        let mut back: Vec<(usize, Arc<Shard<I>>, bool)> = rx.iter().collect();
+        back.sort_unstable_by_key(|&(j, ..)| j);
+        let failed = back
+            .iter()
+            .find(|&&(_, _, sealed)| !sealed)
+            .map(|&(j, ..)| j);
+        self.shards = back.into_iter().map(|(_, shard, _)| shard).collect();
+        if let Some(j) = failed {
+            panic!("shard {j}'s seal panicked");
+        }
     }
 
     /// Clones every shard and reassembles a standalone [`ShardedIndex`]
@@ -894,12 +906,14 @@ mod tests {
         }
     }
 
-    /// An inner index that panics mid-walk while `armed` is set: a walk
-    /// that dies on its helper with no caller code involved.
+    /// An inner index that panics mid-walk while `armed` is set, and
+    /// in its seal while `seal_armed` is: work that dies on its helper
+    /// with no caller code involved.
     #[derive(Clone)]
     struct Tripwire {
         inner: HintMSubs,
         armed: Arc<AtomicBool>,
+        seal_armed: Arc<AtomicBool>,
     }
 
     impl IntervalIndex for Tripwire {
@@ -908,6 +922,7 @@ mod tests {
             self.inner.query_sink(q, sink)
         }
         fn seal(&mut self) {
+            assert!(!self.seal_armed.load(Ordering::Relaxed), "seal tripwire");
             self.inner.seal()
         }
         fn size_bytes(&self) -> usize {
@@ -964,6 +979,7 @@ mod tests {
                 } else {
                     Arc::default()
                 },
+                seal_armed: Arc::default(),
             }
         });
         IntervalIndex::seal(&mut direct);
@@ -1011,6 +1027,59 @@ mod tests {
             direct.query_sink(q, &mut want);
             assert_eq!(merged[i], want, "{q:?}");
         }
+    }
+
+    #[test]
+    fn a_panicking_seal_keeps_every_shard_in_the_pool() {
+        // shards 1 and 3 trip in their seals
+        let seal_armed = Arc::new(AtomicBool::new(true));
+        let mut built = 0;
+        let direct = ShardedIndex::build_with(&data(), 4, |slice, lo, hi| {
+            built += 1;
+            Tripwire {
+                inner: HintMSubs::build_with_domain(
+                    slice,
+                    Domain::new(lo, hi, 9),
+                    SubsConfig::full(),
+                ),
+                armed: Arc::default(),
+                seal_armed: if built % 2 == 0 {
+                    Arc::clone(&seal_armed)
+                } else {
+                    Arc::default()
+                },
+            }
+        });
+        let mut pool = ShardPool::new(direct.clone());
+        let failed = catch_unwind(AssertUnwindSafe(|| pool.seal_all()));
+        let msg = failed.expect_err("the seal must fail");
+        assert_eq!(
+            msg.downcast_ref::<String>().unwrap(),
+            "shard 1's seal panicked"
+        );
+        // every shard came back: reads on both routes, a reseal and the
+        // final reassembly all still work (the sealed shards emit in
+        // their own order, so results compare as sets)
+        assert_eq!(pool.shard_count(), 4);
+        let sorted = |mut ids: Vec<IntervalId>| {
+            ids.sort_unstable();
+            ids
+        };
+        let queries = batch();
+        let mut merged: Vec<Vec<IntervalId>> = queries.iter().map(|_| Vec::new()).collect();
+        pool.query_batch_merge(&queries, &mut merged);
+        for (i, &q) in queries.iter().enumerate() {
+            let mut want = Vec::new();
+            direct.query_sink(q, &mut want);
+            let want = sorted(want);
+            assert_eq!(sorted(std::mem::take(&mut merged[i])), want, "{q:?}");
+            let mut solo = Vec::new();
+            pool.query_sink_pooled(q, &mut solo);
+            assert_eq!(sorted(solo), want, "{q:?}");
+        }
+        seal_armed.store(false, Ordering::Relaxed);
+        pool.seal_all();
+        assert_eq!(pool.into_index().len(), direct.len());
     }
 
     #[test]

@@ -1,14 +1,9 @@
 //! The serving-side engine handle: a [`Session`] owns a [`ShardPool`]
 //! over a [`ShardedIndex`], applies checked writes to its shards,
-//! reseals dirty shards on demand — and *adapts*, twice over:
-//!
-//! * it accumulates a per-shard histogram of the query extents each
-//!   shard actually serves, and at reseal time rebuilds dirty shards at
-//!   the `m` the §3.3 cost model picks for that observed mix
-//!   ([`crate::cost_model::retuned_m`]);
-//! * it times every batch, and runs each batch on whichever read route
-//!   has been measured cheaper for batches of its size (see
-//!   [One read decision](#one-read-decision)).
+//! reseals dirty shards on demand — and *adapts*: it accumulates a
+//! per-shard histogram of the query extents each shard actually serves,
+//! and at reseal time rebuilds dirty shards at the `m` the §3.3 cost
+//! model picks for that observed mix ([`crate::cost_model::retuned_m`]).
 //!
 //! A network front-end (see the workspace's `serve` crate) needs a
 //! single object that (a) answers query batches through the shard pool,
@@ -39,31 +34,24 @@
 //! [`crate::cost_model::retuned_m`] guarantees the chosen `m` never
 //! loses to the old one on the observed histogram.
 //!
-//! ## One read decision
+//! ## Two read routes
 //!
-//! [`Session::query_batch_merge`] runs each batch on one of the pool's
-//! two read routes: **inline** on the calling thread, or **fan-out**
-//! across the pool's helper threads (see [`crate::pool`]). A thread
-//! round trip costs several times a short walk, so a small batch on a
-//! small index is cheapest inline; a large batch of long walks can be
-//! cheaper spread over several cores — unless those cores are busy
-//! with other work, which no static rule can know. So the session
-//! measures. Per log2 batch-length class it runs one route, and now and
-//! then a paired trial: an exploring run of [`EXPLORE_RUN`] batches on
-//! the other route, then a control run of as many on its own, each timed
-//! after a [`WARMUP`] (a route starts cold after the other one ran: the
-//! helpers were parked, the caches hold other data). Each trial's cost
-//! ratio feeds an EWMA over trials, and the class then runs the route
-//! that EWMA names, so one noisy trial does not flip it, while a
-//! collapse of one route (a ratio of 10 moves the EWMA at once) does.
-//! Later trials come [`EXPLORE_EVERY`] batches apart at first; each
-//! trial that confirms the route doubles the gap, up to [`EXPLORE_MAX`],
-//! so a settled class
-//! spends almost nothing on the route it does not take. Both runs of a
-//! trial are adjacent in time and equally cold, so host speed drift and
-//! warm-up cancel out of the comparison. A new class runs inline, and
-//! has its first trial after [`EXPLORE_RUN`] batches. Both routes give
-//! bit-identical results.
+//! A batch reaches the shards on one of the pool's two routes (see
+//! [`crate::pool`]), and the caller names it:
+//!
+//! * [`Session::query_batch_inline`] walks the batch on the calling
+//!   thread, straight into the callers' sinks. The wire server drives
+//!   this route: its scheduler shares the cores with the connections'
+//!   reader and writer threads, so lending a walk to a helper buys a
+//!   thread round trip (about 25 µs for a batch of one, against a 3 µs
+//!   walk) and no idle core to run it on.
+//! * [`Session::query_batch_merge`] fans the batch out across the
+//!   pool's helper threads and merges the forks in shard order. A
+//!   caller that issues batches from one thread, with cores to spare,
+//!   gets the shards walked in parallel.
+//!
+//! Both give results bit-identical to solo [`Session::query_sink`]
+//! calls.
 
 use crate::hintm::snapshot::{self, RestoreError, SnapshotIo, StdSnapshotIo};
 use crate::interval::{Interval, RangeQuery, Time, TOMBSTONE};
@@ -76,8 +64,6 @@ use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Minimum local queries a shard must have observed before a reseal may
 /// re-tune its `m` — below this the histogram is noise, not a mix.
@@ -146,151 +132,6 @@ pub struct RetuneEvent {
     pub to: u32,
 }
 
-/// Batches of one length class between trials after a trial that
-/// changed the class's route. (The first trial comes after
-/// [`EXPLORE_RUN`] batches.)
-pub const EXPLORE_EVERY: u32 = 1024;
-
-/// Most batches of one length class between exploring runs: every run
-/// that confirms the class's route doubles the gap, up to this.
-pub const EXPLORE_MAX: u32 = 16 * EXPLORE_EVERY;
-
-/// Length of the exploring run, and of the control run right after it:
-/// that many batches in a row take the route the class does not favour,
-/// then as many take the favoured one.
-pub const EXPLORE_RUN: u32 = 64;
-
-/// Leading batches of each run that are not timed. A route starts cold
-/// after the other one ran — the helpers were parked, the caches hold
-/// other data — and warms up over tens of batches.
-pub const WARMUP: u32 = 16;
-
-/// Weight of one trial in a class's running verdict.
-const TRIAL_WEIGHT: f64 = 0.5;
-
-/// Batch-length classes: `floor(log2(len))`, the last one open-ended.
-const CLASSES: usize = 16;
-
-/// The two routes a batch can take through the [`ShardPool`] (see the
-/// [module docs](self#one-read-decision)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadRoute {
-    /// Walked on the calling thread, straight into the callers' sinks.
-    #[default]
-    Inline,
-    /// Lent to the pool's helper threads, forked and merged in shard
-    /// order.
-    FanOut,
-}
-
-impl ReadRoute {
-    fn other(self) -> Self {
-        match self {
-            ReadRoute::Inline => ReadRoute::FanOut,
-            ReadRoute::FanOut => ReadRoute::Inline,
-        }
-    }
-}
-
-/// One batch-length class: the route it favours, and where it stands in
-/// its cycle — `gap()` favoured batches, an exploring run of
-/// [`EXPLORE_RUN`] on the other route, then a control run of as many on
-/// the favoured one.
-#[derive(Debug, Clone, Copy, Default)]
-struct RouteClass {
-    favoured: ReadRoute,
-    /// Batches into the current cycle.
-    n: u32,
-    /// How many times the gap has doubled since the last route change.
-    doublings: u32,
-    /// Timed wall nanoseconds and queries of this cycle's exploring and
-    /// control runs, indexed by route.
-    timed: [(u128, u64); 2],
-    /// Running verdict: EWMA over trials of `ln(fan-out / inline)` wall
-    /// time per query; negative favours fan-out. `None` before the
-    /// first trial.
-    lean: Option<f64>,
-}
-
-impl RouteClass {
-    fn gap(&self) -> u32 {
-        match self.lean {
-            None => EXPLORE_RUN,
-            Some(_) => (EXPLORE_EVERY << self.doublings).min(EXPLORE_MAX),
-        }
-    }
-
-    /// Ends a cycle: folds the trial's cost ratio into the running
-    /// verdict, favours the route it names, and doubles the gap to the
-    /// next exploring run if that is the route already favoured.
-    fn decide(&mut self) {
-        let per_query = |(ns, queries): (u128, u64)| ns as f64 / queries.max(1) as f64;
-        let [inline, fan_out] = self.timed.map(per_query);
-        if inline > 0.0 && fan_out > 0.0 {
-            let trial = (fan_out / inline).ln();
-            self.lean = Some(match self.lean {
-                Some(lean) => lean + TRIAL_WEIGHT * (trial - lean),
-                None => trial,
-            });
-        }
-        let cheaper = match self.lean {
-            Some(lean) if lean < 0.0 => ReadRoute::FanOut,
-            Some(_) => ReadRoute::Inline,
-            None => self.favoured,
-        };
-        if cheaper == self.favoured {
-            if self.gap() < EXPLORE_MAX {
-                self.doublings += 1;
-            }
-        } else {
-            self.favoured = cheaper;
-            self.doublings = 0;
-        }
-        self.n = 0;
-        self.timed = [(0, 0); 2];
-    }
-}
-
-/// Picks each batch's [`ReadRoute`] from measured cost: pure state,
-/// fed by [`record`](Self::record) with the wall time each batch took.
-#[derive(Debug, Default)]
-pub(crate) struct RouteChooser {
-    classes: [RouteClass; CLASSES],
-}
-
-impl RouteChooser {
-    fn class(len: usize) -> usize {
-        (len.max(1).ilog2() as usize).min(CLASSES - 1)
-    }
-
-    /// The route for the next batch of `len` queries: the one its class
-    /// favours, except during the class's exploring run.
-    pub(crate) fn choose(&mut self, len: usize) -> ReadRoute {
-        let c = &mut self.classes[Self::class(len)];
-        if c.n == c.gap() + 2 * EXPLORE_RUN {
-            c.decide();
-        }
-        c.n += 1;
-        if (c.gap() + 1..=c.gap() + EXPLORE_RUN).contains(&c.n) {
-            c.favoured.other()
-        } else {
-            c.favoured
-        }
-    }
-
-    /// Times the batch [`choose`](Self::choose) just routed, if it is
-    /// past the [`WARMUP`] of its class's exploring or control run.
-    pub(crate) fn record(&mut self, len: usize, route: ReadRoute, wall: Duration) {
-        let c = &mut self.classes[Self::class(len)];
-        let into_run = c.n.saturating_sub(c.gap() + 1) % EXPLORE_RUN;
-        if c.n > c.gap() && into_run >= WARMUP {
-            let (ns, queries) = &mut c.timed[route as usize];
-            *ns += wall.as_nanos();
-            *queries += len as u64;
-        }
-    }
-}
-
 /// Why a client-requested write was refused. Unlike the index methods
 /// themselves (which `assert!` on contract violations, appropriate for
 /// in-process callers), a serving layer turns these into error replies.
@@ -326,7 +167,7 @@ impl std::fmt::Display for WriteError {
 
 /// An engine handle owning a pooled sharded index: checked writes,
 /// dirty-shard resealing with adaptive per-shard `m` re-tuning, and
-/// batched query execution on the cheaper read route — the substrate a
+/// batched query execution on either read route — the substrate a
 /// serving front-end schedules work onto.
 ///
 /// ```
@@ -359,8 +200,6 @@ pub struct Session<I: MutableIndex + Send + Sync + 'static> {
     policy: RetunePolicy,
     /// Completed re-tunes, oldest first.
     events: Vec<RetuneEvent>,
-    /// Picks each batch's read route.
-    chooser: Mutex<RouteChooser>,
 }
 
 impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
@@ -387,7 +226,6 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
             mixes,
             policy,
             events: Vec::new(),
-            chooser: Mutex::default(),
         }
     }
 
@@ -406,13 +244,12 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
             mixes,
             policy: RetunePolicy::from_env(),
             events: Vec::new(),
-            chooser: Mutex::default(),
         }
     }
 
     /// The underlying shard pool (solo queries, the explicit fan-out,
     /// dispatch stats). Queries issued directly on the pool bypass the
-    /// session's extent accounting and route choice.
+    /// session's extent accounting.
     pub fn pool(&self) -> &ShardPool<I> {
         &self.pool
     }
@@ -544,60 +381,48 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
 }
 
 impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
-    /// Evaluates a batch of queries, one [`MergeableSink`] per query, on
-    /// the read route measured cheaper for batches of its length (see
-    /// [One read decision](self#one-read-decision)), recording each
+    /// Evaluates a batch of queries, one [`MergeableSink`] per query,
+    /// fanned out across the pool's helper threads (the fan-out route,
+    /// see [Two read routes](self#two-read-routes)), recording each
     /// query's shard-local extents in the per-shard histograms. Results
-    /// are bit-identical to solo [`query_sink`](Self::query_sink) calls
-    /// on either route.
-    pub fn query_batch_merge<S: MergeableSink + Send + 'static>(
-        &self,
-        queries: &[RangeQuery],
-        sinks: &mut [S],
-    ) {
-        if queries.is_empty() {
-            return;
-        }
-        let chooser = || self.chooser.lock().unwrap_or_else(PoisonError::into_inner);
-        let route = chooser().choose(queries.len());
-        let t0 = Instant::now();
-        self.query_batch_merge_via(route, queries, sinks);
-        chooser().record(queries.len(), route, t0.elapsed());
-    }
-
-    /// [`query_batch_merge`](Self::query_batch_merge) on a given route,
-    /// bypassing the route choice — the test hook that pins each route.
+    /// are bit-identical to solo [`query_sink`](Self::query_sink) calls.
     ///
-    /// On the fan-out route the histograms also pay back: each query's
-    /// forked sinks are pre-sized from the mean result count previously
-    /// observed for its extent bucket
-    /// ([`ExtentHistogram::expected_results`], fed through
+    /// The histograms also pay back: each query's forked sinks are
+    /// pre-sized from the mean result count previously observed for its
+    /// extent bucket ([`ExtentHistogram::expected_results`], fed through
     /// [`ShardPool::query_batch_merge_hinted`]), and counting sinks
-    /// report their totals back after every batch — a feedback loop that
+    /// report their totals back after the batch — a feedback loop that
     /// kills mid-scan fork reallocation once a workload's shape has been
     /// seen. Hints are capacity advice only and never change results.
     ///
     /// # Panics
     /// Panics if `queries` and `sinks` have different lengths, or if a
-    /// fan-out helper fails.
-    #[doc(hidden)]
-    pub fn query_batch_merge_via<S: MergeableSink + Send + 'static>(
+    /// helper fails.
+    pub fn query_batch_merge<S: MergeableSink + Send + 'static>(
         &self,
-        route: ReadRoute,
         queries: &[RangeQuery],
         sinks: &mut [S],
     ) {
         for &q in queries {
             self.observe(q);
         }
-        match route {
-            ReadRoute::Inline => self.pool.query_batch_inline(queries, sinks),
-            ReadRoute::FanOut => {
-                let hints = self.result_hints(queries);
-                self.pool
-                    .query_batch_merge_hinted(queries, sinks, hints.as_deref());
+        // Predict per-query result counts from each query's first routed
+        // shard (where the merged total was recorded). All-None batches
+        // skip the hint plumbing entirely.
+        let mut hints: Vec<usize> = Vec::new();
+        let mut any = false;
+        for &q in queries {
+            let (lo, _) = self.pool.router().route(q);
+            match self.mixes[lo].expected_results(q.end - q.st) {
+                Some(n) => {
+                    any = true;
+                    hints.push(n);
+                }
+                None => hints.push(0),
             }
         }
+        let hints = if any { Some(hints.as_slice()) } else { None };
+        self.pool.query_batch_merge_hinted(queries, sinks, hints);
         for (&q, sink) in queries.iter().zip(sinks.iter()) {
             if let Some(n) = sink.result_count() {
                 let (lo, _) = self.pool.router().route(q);
@@ -606,21 +431,21 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         }
     }
 
-    /// Per-query result-count predictions, from each query's first
-    /// routed shard (where the merged total was recorded); `None` when
-    /// no query has one, so the batch skips the hint plumbing entirely.
-    fn result_hints(&self, queries: &[RangeQuery]) -> Option<Vec<usize>> {
-        let mut any = false;
-        let hints = queries
-            .iter()
-            .map(|&q| {
-                let (lo, _) = self.pool.router().route(q);
-                let n = self.mixes[lo].expected_results(q.end - q.st);
-                any |= n.is_some();
-                n.unwrap_or(0)
-            })
-            .collect();
-        any.then_some(hints)
+    /// Evaluates a batch of queries on the calling thread (the inline
+    /// route, see [Two read routes](self#two-read-routes)): each
+    /// shard's sub-batch is drained straight into the callers' sinks,
+    /// so nothing is forked and no result-count hints are needed.
+    /// Records each query's shard-local extents like
+    /// [`query_batch_merge`](Self::query_batch_merge), and gives the
+    /// same results.
+    ///
+    /// # Panics
+    /// Panics if `queries` and `sinks` have different lengths.
+    pub fn query_batch_inline<S: QuerySink>(&self, queries: &[RangeQuery], sinks: &mut [S]) {
+        for &q in queries {
+            self.observe(q);
+        }
+        self.pool.query_batch_inline(queries, sinks);
     }
 
     /// Solo query into a sink, walked inline — the reference path
@@ -901,145 +726,6 @@ mod tests {
         assert!(!s.reseal_idle(), "clean session has nothing to fold");
     }
 
-    /// Drives `chooser` through `batches` batches of `len` queries, each
-    /// timed at `cost(route, streak)` ns per query, where `streak` counts
-    /// the batches in a row on that route (1 for the first); returns the
-    /// routes taken.
-    fn drive(
-        chooser: &mut RouteChooser,
-        len: usize,
-        batches: u32,
-        cost: impl Fn(ReadRoute, u32) -> u64,
-    ) -> Vec<ReadRoute> {
-        let mut streak = (ReadRoute::Inline, 0);
-        (0..batches)
-            .map(|_| {
-                let route = chooser.choose(len);
-                streak = if streak.0 == route {
-                    (route, streak.1 + 1)
-                } else {
-                    (route, 1)
-                };
-                let ns = cost(route, streak.1) * len as u64;
-                chooser.record(len, route, Duration::from_nanos(ns));
-                route
-            })
-            .collect()
-    }
-
-    /// Flat per-query costs, whatever the streak.
-    fn flat(inline: u64, fan_out: u64) -> impl Fn(ReadRoute, u32) -> u64 {
-        move |route, _| match route {
-            ReadRoute::Inline => inline,
-            ReadRoute::FanOut => fan_out,
-        }
-    }
-
-    /// Batch positions (0-based) that took `route`.
-    fn positions(routes: &[ReadRoute], route: ReadRoute) -> Vec<u32> {
-        (0..routes.len() as u32)
-            .filter(|&i| routes[i as usize] == route)
-            .collect()
-    }
-
-    const RUN: u32 = EXPLORE_RUN;
-
-    /// A new class's first cycle: `RUN` batches, then its first trial.
-    const FIRST: u32 = 3 * RUN;
-
-    #[test]
-    fn a_cold_class_runs_inline_until_its_first_trial() {
-        let mut c = RouteChooser::default();
-        let gap = drive(&mut c, 8, RUN, flat(500, 100));
-        assert!(gap.iter().all(|&r| r == ReadRoute::Inline));
-        // the trial: an exploring run on fan-out, a control run inline
-        let trial = drive(&mut c, 8, 2 * RUN, flat(500, 100));
-        assert_eq!(
-            positions(&trial, ReadRoute::FanOut),
-            (0..RUN).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn a_class_where_fan_out_is_measured_cheaper_fans_out() {
-        let mut c = RouteChooser::default();
-        drive(&mut c, 64, FIRST, flat(300, 100));
-        let next = drive(&mut c, 64, EXPLORE_EVERY, flat(300, 100));
-        assert!(next.iter().all(|&r| r == ReadRoute::FanOut));
-        // and where inline is cheaper, the class stays inline
-        let mut c = RouteChooser::default();
-        drive(&mut c, 64, FIRST, flat(100, 300));
-        let next = drive(&mut c, 64, 2 * EXPLORE_EVERY, flat(100, 300));
-        assert!(next.iter().all(|&r| r == ReadRoute::Inline));
-    }
-
-    #[test]
-    fn exploring_runs_take_the_other_route_and_back_off_while_confirmed() {
-        let mut c = RouteChooser::default();
-        for k in 0..8 {
-            let gap = match k {
-                0 => RUN,
-                k => (EXPLORE_EVERY << k).min(EXPLORE_MAX),
-            };
-            let routes = drive(&mut c, 4, gap + 2 * RUN, flat(100, 300));
-            assert_eq!(
-                positions(&routes, ReadRoute::FanOut),
-                (gap..gap + RUN).collect::<Vec<_>>(),
-                "cycle {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn one_contrary_trial_does_not_flip_a_class_but_a_collapse_does() {
-        let mut c = RouteChooser::default();
-        // trial 1: fan-out at half the cost wins, and the gap restarts
-        drive(&mut c, 32, FIRST, flat(200, 100));
-        // trial 2: inline 10% cheaper, once — the class stays on fan-out
-        let routes = drive(&mut c, 32, EXPLORE_EVERY + 2 * RUN, flat(100, 110));
-        assert_eq!(
-            positions(&routes, ReadRoute::Inline),
-            (EXPLORE_EVERY..EXPLORE_EVERY + RUN).collect::<Vec<_>>()
-        );
-        // trial 3 (the gap has doubled): fan-out collapses twentyfold
-        let gap = 2 * EXPLORE_EVERY;
-        drive(&mut c, 32, gap + 2 * RUN, flat(100, 2_000));
-        // so the class runs inline, with the gap back at its start
-        let routes = drive(&mut c, 32, EXPLORE_EVERY + 2 * RUN, flat(100, 2_000));
-        assert_eq!(
-            positions(&routes, ReadRoute::FanOut),
-            (EXPLORE_EVERY..EXPLORE_EVERY + RUN).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn warm_up_batches_are_not_timed() {
-        // fan-out is 100x dearer for its first WARMUP batches in a row,
-        // and half the price after: it still wins its trial
-        let mut c = RouteChooser::default();
-        let cost = |route, streak| match route {
-            ReadRoute::Inline => 200,
-            ReadRoute::FanOut if streak <= WARMUP => 20_000,
-            ReadRoute::FanOut => 100,
-        };
-        drive(&mut c, 16, FIRST, cost);
-        assert_eq!(c.choose(16), ReadRoute::FanOut);
-    }
-
-    #[test]
-    fn classes_are_independent() {
-        let mut c = RouteChooser::default();
-        drive(&mut c, 64, FIRST, flat(300, 100));
-        // the singleton class has seen nothing: inline until its first
-        // trial, while the 64-query class keeps fanning out
-        let singles = drive(&mut c, 1, RUN, flat(300, 100));
-        assert!(singles.iter().all(|&r| r == ReadRoute::Inline));
-        assert_eq!(c.choose(64), ReadRoute::FanOut);
-        // 64..=127 share a class; 128 starts the next one
-        assert_eq!(c.choose(127), ReadRoute::FanOut);
-        assert_eq!(c.choose(128), ReadRoute::Inline);
-    }
-
     /// Sorted ids of a solo query on `s`.
     fn solo_sorted(s: &Session<HintMSubs>, q: RangeQuery) -> Vec<u64> {
         let mut ids = Vec::new();
@@ -1054,7 +740,7 @@ mod tests {
         let before = s.pool().stats();
         let q = RangeQuery::new(10, 20); // inside shard 0
         let mut sinks = vec![Vec::new()];
-        s.query_batch_merge(&[q], &mut sinks);
+        s.query_batch_inline(&[q], &mut sinks);
         let after = s.pool().stats();
         assert_eq!(after.batches - before.batches, 1);
         assert_eq!(after.inline - before.inline, 1);
@@ -1063,6 +749,20 @@ mod tests {
         let mut got = sinks.pop().unwrap();
         got.sort_unstable();
         assert_eq!(got, solo_sorted(&s, q));
+    }
+
+    /// A batch on the fan-out route (`fanned`) or the inline one.
+    fn run_batch<S: MergeableSink + Send + 'static>(
+        s: &Session<HintMSubs>,
+        fanned: bool,
+        queries: &[RangeQuery],
+        sinks: &mut [S],
+    ) {
+        if fanned {
+            s.query_batch_merge(queries, sinks)
+        } else {
+            s.query_batch_inline(queries, sinks)
+        }
     }
 
     #[test]
@@ -1074,28 +774,32 @@ mod tests {
             .chain([RangeQuery::new(0, 4_095), RangeQuery::new(4_000, 4_095)])
             .collect();
         let mut by_route = Vec::new();
-        for route in [ReadRoute::Inline, ReadRoute::FanOut] {
+        for fanned in [false, true] {
             let mut ids: Vec<Vec<u64>> = queries.iter().map(|_| Vec::new()).collect();
-            s.query_batch_merge_via(route, &queries, &mut ids);
+            run_batch(&s, fanned, &queries, &mut ids);
             let mut counts = vec![CountSink::new(); queries.len()];
-            s.query_batch_merge_via(route, &queries, &mut counts);
+            run_batch(&s, fanned, &queries, &mut counts);
             let mut exists = vec![ExistsSink::new(); queries.len()];
-            s.query_batch_merge_via(route, &queries, &mut exists);
+            run_batch(&s, fanned, &queries, &mut exists);
             let mut firsts: Vec<FirstK> = queries.iter().map(|_| FirstK::new(3)).collect();
-            s.query_batch_merge_via(route, &queries, &mut firsts);
+            run_batch(&s, fanned, &queries, &mut firsts);
             for (i, &q) in queries.iter().enumerate() {
                 let want = oracle.query_sorted(q);
                 let mut solo = Vec::new();
                 s.query_sink(q, &mut solo);
-                assert_eq!(ids[i], solo, "{route:?} {q:?}: not the solo order");
-                assert_eq!(counts[i].count(), want.len(), "{route:?} {q:?}");
-                assert_eq!(exists[i].found(), !want.is_empty(), "{route:?} {q:?}");
+                assert_eq!(ids[i], solo, "fanned {fanned}, {q:?}: not the solo order");
+                assert_eq!(counts[i].count(), want.len(), "fanned {fanned}, {q:?}");
+                assert_eq!(
+                    exists[i].found(),
+                    !want.is_empty(),
+                    "fanned {fanned}, {q:?}"
+                );
                 let mut first = FirstK::new(3);
                 s.query_sink(q, &mut first);
-                assert_eq!(firsts[i].ids(), first.ids(), "{route:?} {q:?}");
+                assert_eq!(firsts[i].ids(), first.ids(), "fanned {fanned}, {q:?}");
                 let mut sorted = ids[i].clone();
                 sorted.sort_unstable();
-                assert_eq!(sorted, want, "{route:?} {q:?}");
+                assert_eq!(sorted, want, "fanned {fanned}, {q:?}");
             }
             by_route.push(ids);
         }
@@ -1141,7 +845,7 @@ mod tests {
             })
             .collect();
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.query_batch_merge_via(ReadRoute::FanOut, &queries, &mut sinks)
+            s.query_batch_merge(&queries, &mut sinks)
         }));
         assert!(failed.is_err(), "the fanned batch must fail");
         // every lent shard is back: writes, a reseal and reads succeed
@@ -1155,7 +859,7 @@ mod tests {
         for q in [RangeQuery::new(0, 4_095), RangeQuery::new(900, 1_100)] {
             assert_eq!(solo_sorted(&s, q), oracle.query_sorted(q), "{q:?}");
             let mut fanned = vec![Vec::new()];
-            s.query_batch_merge_via(ReadRoute::FanOut, &[q], &mut fanned);
+            s.query_batch_merge(&[q], &mut fanned);
             fanned[0].sort_unstable();
             assert_eq!(fanned[0], oracle.query_sorted(q), "{q:?}");
         }

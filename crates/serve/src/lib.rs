@@ -6,9 +6,8 @@
 //! `std::net` TCP loopback for real sockets — no async runtime), and a
 //! [batch scheduler](server) that accumulates queries from independent
 //! client connections into cross-connection batches, hands each batch
-//! to [`Session::query_batch_merge`](hint_core::Session::query_batch_merge)
-//! (which walks it inline or forks it across the session's shard
-//! helpers — one level walk per shard either way, forks merged back in
+//! to [`Session::query_batch_inline`](hint_core::Session::query_batch_inline)
+//! (which walks it on the scheduler thread, one level walk per shard in
 //! shard order; see [`ShardPool`](hint_core::ShardPool)), and streams
 //! each query's
 //! results back to its connection through incremental [`WireSink`]

@@ -11,12 +11,14 @@
 //! channel) and a **writer** thread (response-bytes channel → transport).
 //! All cross-thread traffic flows over the vendored `crossbeam`
 //! channels. The session's shards live on the scheduler thread too
-//! (`hint_core::ShardPool`), and `query_batch_merge` walks each batch
-//! either right there or fanned out to the pool's persistent helper
-//! threads (one per shard, zero per-batch spawns), whichever the session
-//! has measured cheaper for batches of that size. Writes apply directly
-//! to the shards between batches, so a read queued after a write always
-//! sees it. Between
+//! (`hint_core::ShardPool`), and the scheduler walks each query batch
+//! right there, on the session's inline route
+//! (`Session::query_batch_inline`): the reader and writer threads keep
+//! the other cores busy, so handing a walk to the pool's helper threads
+//! would add a thread round trip and win no parallelism. The helpers
+//! (one per shard) still reseal dirty shards in parallel. Writes apply
+//! directly to the shards between batches, so a read queued after a
+//! write always sees it. Between
 //! batches, when the request stream goes idle, the scheduler may reseal
 //! dirty shards at a re-tuned per-shard `m` chosen from the observed
 //! query-extent mix (`HINT_SERVE_RETUNE=idle`; see `docs/tuning.md`).
@@ -45,7 +47,7 @@
 //! batch holds [`ServeConfig::max_batch`] requests. A lone request is
 //! therefore answered at once, and under load batches grow on their
 //! own, because requests queue while a batch executes. A flushed batch
-//! executes as one `query_batch_merge` call per addressed index — the
+//! executes as one `query_batch_inline` call per addressed index — the
 //! level walks are shared across *all* connections' queries — and each
 //! query's [`WireSink`] demultiplexes into its connection's response
 //! stream. Writes (`Insert`/`Delete`/`Seal`) act as barriers: they
@@ -1478,7 +1480,7 @@ impl Scheduler {
                         },
                     )
                     .collect();
-                e.session.query_batch_merge(&queries, &mut sinks);
+                e.session.query_batch_inline(&queries, &mut sinks);
                 for (&i, sink) in idxs.iter().zip(sinks) {
                     items[i].sink = ServeSink::Range(sink);
                 }
@@ -1487,7 +1489,7 @@ impl Scheduler {
                     .iter()
                     .map(|&i| std::mem::replace(&mut items[i].sink, ServeSink::Empty))
                     .collect();
-                e.session.query_batch_merge(&queries, &mut sinks);
+                e.session.query_batch_inline(&queries, &mut sinks);
                 for (&i, sink) in idxs.iter().zip(sinks) {
                     items[i].sink = sink;
                 }

@@ -3,15 +3,17 @@
 //! response bytes, with no intermediate `Vec<IntervalId>` per query.
 //!
 //! The scheduler hands the batch to
-//! [`Session::query_batch_merge`](hint_core::Session::query_batch_merge),
-//! which walks it through the session's
+//! [`Session::query_batch_inline`](hint_core::Session::query_batch_inline),
+//! which walks it shard by shard through the session's
 //! [`ShardPool`](hint_core::ShardPool), with one `WireSink` per query;
 //! every id the index reports is encoded
 //! straight into the sink's little-endian payload buffer (a bulk
-//! `emit_slice` run becomes one `memcpy`-shaped loop), and the
-//! [`MergeableSink`] contract makes the parallel path free: a helper's
-//! fork is another byte buffer, and merging is buffer concatenation in
-//! shard order — bit-identical to the sequential emission order. When
+//! `emit_slice` run becomes one `memcpy`-shaped loop). The
+//! [`MergeableSink`] contract also makes the pool's fan-out route
+//! ([`Session::query_batch_merge`](hint_core::Session::query_batch_merge))
+//! free: a helper's fork is another byte buffer, and merging is buffer
+//! concatenation in shard order — bit-identical to the sequential
+//! emission order. When
 //! the batch returns, [`WireSink::into_frames`] chops the payload into
 //! `Results` frames and the `End` trailer addressed to the owning
 //! connection: the demux step that lets one merged walk feed many
@@ -263,10 +265,11 @@ impl MergeableSink for WireSink {
 
 /// The scheduler's per-request sink: one value type covering every
 /// walk-driven verb so a single mixed batch per catalog entry flows
-/// through one [`query_batch_merge`](hint_core::Session::query_batch_merge)
+/// through one [`query_batch_inline`](hint_core::Session::query_batch_inline)
 /// call — plain range queries next to Allen refinements next to top-k
-/// and histogram aggregations, each forked across shards and merged
-/// back by its own [`MergeableSink`] discipline.
+/// and histogram aggregations. Each is also a [`MergeableSink`], so the
+/// same batch can fan out across shards and merge back by each sink's
+/// own discipline.
 #[derive(Debug)]
 pub enum ServeSink {
     /// A plain range query, encoding ids straight to wire form.

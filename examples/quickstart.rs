@@ -125,10 +125,10 @@ fn main() {
 
     // --- 10. the shard pool + serve-time m re-tuning --------------------
     // A `Session` owns its shards through a `ShardPool` with one helper
-    // thread per shard: each batch is walked inline or fanned out to the
-    // helpers, whichever the session has measured cheaper for batches of
-    // its size, with zero per-batch thread spawns. The session also
-    // records the query-extent mix each shard
+    // thread per shard: `query_batch_merge` fans a batch out to the
+    // helpers (zero per-batch thread spawns), and `query_batch_inline`,
+    // the route the server drives, walks it on the calling thread. The
+    // session also records the query-extent mix each shard
     // actually serves; under HINT_SERVE_RETUNE=seal (or `idle`, which
     // additionally reseals between batches when the server goes quiet),
     // a dirty shard is resealed at the m the §3.3 cost model picks for
