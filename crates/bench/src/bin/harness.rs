@@ -13,7 +13,6 @@
 //!   countmode       extra: enumerate vs count vs exists throughput
 //!   cachelayout     extra: nested-Vec vs sealed-CSR storage + query_batch
 //!   shardscale      extra: sharded index, session + pool fan-out throughput vs K
-//!   retune          extra: pool fan-out vs inline walk + adaptive per-shard m
 //!   snapshot        extra: durable snapshot save bandwidth + restore vs rebuild
 //!   all             run everything (paper order)
 //!
@@ -31,7 +30,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <fig10|fig11|fig12|fig13|fig14|table6|table7|table8|table9|table10|ablation|countmode|cachelayout|shardscale|retune|snapshot|all> \
+        "usage: harness <fig10|fig11|fig12|fig13|fig14|table6|table7|table8|table9|table10|ablation|countmode|cachelayout|shardscale|snapshot|all> \
          [--quick] [--scale N] [--queries N] [--max-m N] [--seed N]"
     );
     exit(2);
@@ -109,7 +108,6 @@ fn main() {
         "countmode" => experiments::countmode::run(&cfg),
         "cachelayout" => experiments::cachelayout::run(&cfg),
         "shardscale" => experiments::shardscale::run(&cfg),
-        "retune" => experiments::retune::run(&cfg),
         "snapshot" => experiments::snapshot::run(&cfg),
         _ => usage(),
     };
@@ -129,7 +127,6 @@ fn main() {
             "countmode",
             "cachelayout",
             "shardscale",
-            "retune",
             "snapshot",
         ] {
             run_one(name);

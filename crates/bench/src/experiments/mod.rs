@@ -12,7 +12,6 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
-pub mod retune;
 pub mod shardscale;
 pub mod snapshot;
 pub mod table10;

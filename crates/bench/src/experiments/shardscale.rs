@@ -57,9 +57,7 @@ use crate::measure::{
     merge_handle_throughput, pool_batch_throughput, query_throughput, time,
 };
 use crate::RunConfig;
-use hint_core::{
-    Domain, HintMSubs, IntervalIndex, RetunePolicy, Session, ShardedIndex, SubsConfig,
-};
+use hint_core::{Domain, HintMSubs, IntervalIndex, Session, ShardedIndex, SubsConfig};
 use std::fmt::Write as _;
 use workloads::realistic::RealDataset;
 use workloads::synthetic::SyntheticConfig;
@@ -207,7 +205,7 @@ pub fn run(cfg: &RunConfig) {
                 sharded.replicated(),
                 mb(sharded.size_bytes()),
             );
-            let session = Session::with_retune(sharded.clone(), RetunePolicy::Off);
+            let session = Session::new(sharded.clone());
             indexes.push((k, sharded, session));
         }
         // batched ingest: a burst of time-ordered appends (top 1/8 of the

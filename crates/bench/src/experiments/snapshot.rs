@@ -23,7 +23,7 @@ use hint_core::{
 use std::fmt::Write as _;
 use workloads::realistic::RealDataset;
 
-/// Shards in the pooled index (matches the serve/retune setup).
+/// Shards in the pooled index (matches the serving setup).
 const SHARDS: usize = 4;
 
 /// Restore repetitions per scale; best and p99 reported.

@@ -162,20 +162,6 @@ pub fn batched_throughput_with(
     }
 }
 
-/// Batched-query throughput through the sharded index's **inline typed
-/// path** (`ShardedIndex::query_batch_merge`): queries run in chunks of
-/// `batch`, each shard's sub-batch drained straight into the collecting
-/// `Vec` sinks in shard order on the calling thread.
-pub fn merge_batch_throughput<I: IntervalIndex>(
-    index: &hint_core::ShardedIndex<I>,
-    queries: &[RangeQuery],
-    batch: usize,
-) -> Throughput {
-    batched_throughput_with(queries, batch, |chunk, bufs| {
-        index.query_batch_merge(chunk, bufs)
-    })
-}
-
 /// Batched-query throughput through `Session::query_batch_inline` with
 /// **zero-copy [`HandleSink`](hint_core::HandleSink)s**: the read path
 /// as the wire server drives it, each batch walked on the calling

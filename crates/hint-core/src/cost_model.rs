@@ -15,7 +15,6 @@
 //! replication factor `k` (partitions per interval).
 
 use crate::interval::Interval;
-use crate::stats::ExtentMix;
 use std::time::Instant;
 
 /// Machine-dependent cost constants: seconds per endpoint comparison and
@@ -110,63 +109,6 @@ pub fn m_opt(input: &ModelInput, betas: &Betas, tolerance: f64) -> u32 {
         }
     }
     max_m
-}
-
-/// Mean estimated cost per query of an `m`-level hierarchy under an
-/// *observed* query-extent mix, instead of the single `λ_q` the build-time
-/// model assumes: each histogram bucket contributes the §3.3 cost at its
-/// representative extent, weighted by how often that extent was seen.
-/// `input.lambda_q` is ignored; an empty mix falls back to it.
-pub fn mix_cost(input: &ModelInput, betas: &Betas, m: u32, mix: &ExtentMix) -> f64 {
-    let total = mix.observations();
-    if total == 0 {
-        return estimated_cost(input, betas, m);
-    }
-    let mut acc = 0.0;
-    for (i, &count) in mix.counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let at = ModelInput {
-            lambda_q: ExtentMix::representative(i) as f64,
-            ..*input
-        };
-        acc += count as f64 * estimated_cost(&at, betas, m);
-    }
-    acc / total as f64
-}
-
-/// Serve-time re-tuning: the `m` a shard should be resealed at, given
-/// the query-extent mix it actually observed.
-///
-/// Like [`m_opt`], the smallest `m` within `tolerance` of the best
-/// [`mix_cost`] is chosen (smaller `m` ⇒ less replication, Theorem 1).
-/// Because the best over all candidates is never above `current`'s own
-/// cost, the choice can never lose to `current` on the observed mix by
-/// more than the convergence tolerance:
-/// `mix_cost(chosen) <= mix_cost(current) · (1 + tolerance)`. An empty
-/// mix returns `current` (nothing observed, nothing to adapt to).
-pub fn retuned_m(
-    input: &ModelInput,
-    betas: &Betas,
-    tolerance: f64,
-    mix: &ExtentMix,
-    current: u32,
-) -> u32 {
-    if mix.observations() == 0 {
-        return current;
-    }
-    let max_m = input.max_m().max(1);
-    let current = current.min(max_m);
-    let best = (1..=max_m)
-        .map(|m| mix_cost(input, betas, m, mix))
-        .fold(f64::INFINITY, f64::min);
-    for m in 1..=max_m {
-        if mix_cost(input, betas, m, mix) <= best * (1.0 + tolerance) {
-            return m;
-        }
-    }
-    current
 }
 
 /// Theorem-1 space model: expected replication factor `k` — the number of
@@ -303,76 +245,6 @@ mod tests {
         assert_eq!(inp.span, 100);
         assert!((inp.lambda_s - 40.0 / 3.0).abs() < 1e-9);
         assert_eq!(inp.max_m(), 7);
-    }
-
-    #[test]
-    fn mix_cost_matches_point_cost_on_a_single_extent() {
-        let inp = input();
-        let b = Betas::DEFAULT;
-        // a mix concentrated on one representative extent equals the
-        // point model evaluated at that extent
-        let e = ExtentMix::representative(15);
-        let mix = ExtentMix::from_extents(&[e, e, e]);
-        for m in [4, 8, 12] {
-            let at = ModelInput {
-                lambda_q: e as f64,
-                ..inp
-            };
-            let got = mix_cost(&inp, &b, m, &mix);
-            let want = estimated_cost(&at, &b, m);
-            assert!((got - want).abs() < 1e-15, "m={m}: {got} vs {want}");
-        }
-        // empty mix falls back to the input's own lambda_q
-        assert_eq!(
-            mix_cost(&inp, &b, 9, &ExtentMix::new()),
-            estimated_cost(&inp, &b, 9)
-        );
-    }
-
-    #[test]
-    fn retuned_m_never_loses_to_the_current_m() {
-        let inp = input();
-        let b = Betas::DEFAULT;
-        let tol = 0.03;
-        // a spread of adversarial mixes: stab-only, long-only, bimodal,
-        // and a broad sweep
-        let mixes = [
-            ExtentMix::from_extents(&[0; 8]),
-            ExtentMix::from_extents(&[1 << 22; 8]),
-            ExtentMix::from_extents(&[0, 0, 0, 0, 0, 0, 1 << 24, 1 << 24]),
-            ExtentMix::from_extents(&[1, 64, 4_096, 1 << 18, 1 << 22, 1 << 24]),
-        ];
-        for mix in &mixes {
-            for current in 1..=inp.max_m() {
-                let m = retuned_m(&inp, &b, tol, mix, current);
-                assert!(m >= 1 && m <= inp.max_m());
-                // the guarantee: the choice never loses to the m it
-                // replaces by more than the convergence tolerance
-                assert!(
-                    mix_cost(&inp, &b, m, mix)
-                        <= mix_cost(&inp, &b, current, mix) * (1.0 + tol) + 1e-18,
-                    "retune lost: current={current} chose {m}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn retuned_m_adapts_to_the_mix() {
-        let inp = input();
-        let b = Betas::DEFAULT;
-        // stab-heavy mixes want a fine hierarchy (comparisons dominate)
-        let stabs = ExtentMix::from_extents(&[0; 64]);
-        let fine = retuned_m(&inp, &b, 0.03, &stabs, 5);
-        // long-extent mixes tolerate a coarse one (results dominate)
-        let long = ExtentMix::from_extents(&[1 << 24; 64]);
-        let coarse = retuned_m(&inp, &b, 0.03, &long, inp.max_m());
-        assert!(
-            fine > coarse,
-            "stab mix chose m={fine}, long mix chose m={coarse}"
-        );
-        // an empty mix never moves m
-        assert_eq!(retuned_m(&inp, &b, 0.03, &ExtentMix::new(), 7), 7);
     }
 
     #[test]

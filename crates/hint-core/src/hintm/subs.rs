@@ -513,8 +513,7 @@ impl HintMSubs {
 
     /// Reconstructs the live interval set `(id, st, end)` from the index's
     /// own storage (sealed arenas plus unsealed overlay), in no particular
-    /// order — the substrate for [`Self::rebuild_with_m`] and for
-    /// snapshotting.
+    /// order — the substrate for snapshotting.
     ///
     /// Every interval has exactly one `Original*` assignment (carrying its
     /// start) and exactly one *ends-inside* assignment (carrying its end);
@@ -578,24 +577,6 @@ impl HintMSubs {
             "reconstructed set drifted from live count"
         );
         out
-    }
-
-    /// Rebuilds the index at hierarchy depth `m` (same domain bounds,
-    /// same configuration, same live contents), returning it **sealed** —
-    /// the serve-time re-tuning primitive: a mis-tuned shard is replaced
-    /// wholesale between seals, and queries against the rebuilt index are
-    /// bit-identical to the original (both are exact; only traversal cost
-    /// changes).
-    ///
-    /// # Panics
-    /// Panics if the clamped `m` exceeds 26 (the per-partition layout
-    /// bound [`Self::build_with_domain`] enforces).
-    pub fn rebuild_with_m(&self, m: u32) -> Self {
-        let data = self.intervals();
-        let domain = Domain::new(self.domain.min(), self.domain.max(), m);
-        let mut rebuilt = Self::build_with_domain(&data, domain, self.cfg);
-        rebuilt.seal();
-        rebuilt
     }
 
     /// Level/partition walk shared by both storage layouts.
@@ -1160,13 +1141,14 @@ mod tests {
     }
 
     /// `intervals()` must reconstruct the exact live set — across every
-    /// storage layout, sealed and unsealed, with post-seal overlay
-    /// writes and tombstones in both generations.
+    /// storage layout and a spread of depths, sealed and unsealed, with
+    /// post-seal overlay writes and tombstones in both generations — and
+    /// an index rebuilt from that set answers every query exactly.
     #[test]
     fn intervals_reconstructs_the_live_set() {
         let data = lcg_data(300, 50_000, 6_000, 33);
         for cfg in all_configs() {
-            for m in [4, 9] {
+            for m in [1, 4, 9, 14] {
                 let mut idx = HintMSubs::build_with_domain(&data, Domain::new(0, 49_999, m), cfg);
                 let mut want: Vec<Interval> = data.clone();
                 let check = |idx: &HintMSubs, want: &[Interval], what: &str| {
@@ -1202,40 +1184,17 @@ mod tests {
                 check(&idx, &want, "sealed + overlay + mixed tombstones");
                 idx.seal();
                 check(&idx, &want, "resealed");
-            }
-        }
-    }
-
-    /// A rebuild at any `m'` answers every query identically and comes
-    /// back sealed at the requested depth.
-    #[test]
-    fn rebuild_with_m_preserves_results_at_every_depth() {
-        let data = lcg_data(350, 40_000, 5_000, 55);
-        let oracle = ScanOracle::new(&data);
-        let mut idx = HintMSubs::build(&data, 10, SubsConfig::full());
-        idx.seal();
-        idx.insert(Interval::new(900_000, 100, 9_000)); // overlay entry
-        let mut oracle = {
-            let mut o = oracle;
-            o.insert(Interval::new(900_000, 100, 9_000));
-            o
-        };
-        assert!(oracle.delete(13));
-        assert!(idx.delete(&data[13]));
-        for m_new in [1, 3, 6, 10, 14] {
-            let rebuilt = idx.rebuild_with_m(m_new);
-            assert!(rebuilt.is_sealed());
-            assert_eq!(rebuilt.len(), idx.len());
-            assert_eq!(rebuilt.domain().min(), idx.domain().min());
-            assert_eq!(rebuilt.domain().max(), idx.domain().max());
-            let mut x = 9u64;
-            for _ in 0..200 {
-                x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                let st = (x >> 17) % 40_000;
-                let q = RangeQuery::new(st, (st + (x >> 9) % 8_000).min(39_999));
-                let mut got = Vec::new();
-                rebuilt.query(q, &mut got);
-                assert_eq!(sorted(got), oracle.query_sorted(q), "m'={m_new} {q:?}");
+                let mut rebuilt =
+                    HintMSubs::build_with_domain(&idx.intervals(), *idx.domain(), cfg);
+                check(&rebuilt, &want, "rebuilt from intervals()");
+                rebuilt.seal();
+                let oracle = ScanOracle::new(&want);
+                for st in (0..50_000).step_by(4_999) {
+                    let q = RangeQuery::new(st, (st + 7_000).min(49_999));
+                    let mut got = Vec::new();
+                    rebuilt.query(q, &mut got);
+                    assert_eq!(sorted(got), oracle.query_sorted(q), "{cfg:?} m={m} {q:?}");
+                }
             }
         }
     }

@@ -116,7 +116,6 @@
 
 pub mod allen;
 pub mod assign;
-pub mod concurrent;
 pub mod cost_model;
 pub mod domain;
 pub mod env;
@@ -134,8 +133,7 @@ pub mod stats;
 
 pub use allen::{AllenIndex, AllenRelation, RelationFilter, SortedRecords};
 pub use assign::{Assignment, SubKind};
-pub use concurrent::ConcurrentHint;
-pub use cost_model::{m_opt, measure_betas, mix_cost, retuned_m, Betas, ModelInput};
+pub use cost_model::{m_opt, measure_betas, Betas, ModelInput};
 pub use domain::Domain;
 pub use hint_cf::{CfLayout, HintCf};
 pub use hintm::base::{Eval, HintMBase};
@@ -152,14 +150,14 @@ pub use join::{
 };
 pub use oracle::ScanOracle;
 pub use pool::{PoolError, PoolStats, ShardPool};
-pub use session::{RetuneEvent, RetunePolicy, Session, WriteError};
+pub use session::{Session, WriteError};
 pub use shard::{MutableIndex, ShardedIndex};
 pub use sink::{
     ArenaRun, BucketHistogram, CollectSink, CountSink, ExistsSink, FirstK, FnSink, HandleSink,
     IntervalLookup, MergeableSink, QuerySink, ResultRun, SliceSink, TopKByDuration,
     ARENA_HANDLE_MIN,
 };
-pub use stats::{ExtentHistogram, ExtentMix, QueryStats, WorkloadStats};
+pub use stats::{ExtentHistogram, QueryStats, WorkloadStats};
 
 /// Common query interface implemented by every index in the workspace
 /// (HINT variants here, the four competitor indexes in their own crates),
@@ -385,24 +383,6 @@ impl IntervalIndex for HybridHint {
     }
     fn len(&self) -> usize {
         HybridHint::len(self)
-    }
-}
-
-impl IntervalIndex for ConcurrentHint {
-    fn query_sink(&self, q: RangeQuery, sink: &mut dyn QuerySink) {
-        ConcurrentHint::query_sink(self, q, sink)
-    }
-    fn query(&self, q: RangeQuery, out: &mut Vec<IntervalId>) {
-        ConcurrentHint::query(self, q, out)
-    }
-    fn seal(&mut self) {
-        ConcurrentHint::merge(self)
-    }
-    fn size_bytes(&self) -> usize {
-        ConcurrentHint::size_bytes(self)
-    }
-    fn len(&self) -> usize {
-        ConcurrentHint::len(self)
     }
 }
 

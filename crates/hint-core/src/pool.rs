@@ -32,7 +32,7 @@
 //!
 //! ## Ownership
 //!
-//! Writes, retunes and size queries run on the calling thread, directly
+//! Writes and size queries run on the calling thread, directly
 //! on the shards (writes through `Arc::get_mut`). That always succeeds,
 //! because a lent `Arc` never outlives the call that lent it: a fan-out
 //! waits for every helper it dispatched — also when it fails — and a
@@ -48,7 +48,6 @@
 use crate::interval::{Interval, IntervalId, RangeQuery, Time};
 use crate::shard::{self, MutableIndex, Routed, Router, Shard, ShardedIndex};
 use crate::sink::{MergeableSink, QuerySink};
-use crate::stats::ExtentMix;
 use crate::IntervalIndex;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -648,34 +647,6 @@ impl<I: MutableIndex + Send + Sync + 'static> ShardPool<I> {
         self.live -= 1;
         true
     }
-
-    /// Reseals shard `j` at the `m` the cost model picks for the
-    /// observed query-extent `mix`. Returns `Some((old_m, new_m))` when
-    /// the shard was rebuilt at a different depth; otherwise the shard
-    /// is plainly resealed and `None` is returned (not re-tunable,
-    /// empty, or already at the model's choice). Results are
-    /// bit-identical either way.
-    pub fn retune_shard(&mut self, j: usize, mix: ExtentMix) -> Option<(u32, u32)> {
-        let shard = self.shard_mut(j);
-        let outcome = shard.index.tuned_m().and_then(|from| {
-            let to = shard.index.retune_m(&mix)?;
-            if to == from {
-                return None;
-            }
-            shard.index = shard.index.rebuild_with_m(to)?; // arrives sealed
-            Some((from, to))
-        });
-        if outcome.is_none() {
-            shard.index.seal();
-        }
-        outcome
-    }
-
-    /// The hierarchy depth each shard currently runs at (`None` for
-    /// non-re-tunable inner indexes).
-    pub fn shard_ms(&self) -> Vec<Option<u32>> {
-        self.shards.iter().map(|s| s.index.tuned_m()).collect()
-    }
 }
 
 impl<I: Send + Sync + 'static> Drop for ShardPool<I> {
@@ -1146,7 +1117,7 @@ mod tests {
     }
 
     /// Every read path of `pool` against solo queries on `direct`, with
-    /// both sides' ids sorted (a retuned shard may emit in another order).
+    /// both sides' ids sorted.
     fn assert_all_read_paths_match(pool: &ShardPool<HintMSubs>, direct: &ShardedIndex<HintMSubs>) {
         let sorted = |mut v: Vec<IntervalId>| {
             v.sort_unstable();
@@ -1202,21 +1173,16 @@ mod tests {
     }
 
     #[test]
-    fn reseal_and_retune_between_writes_keep_every_read_path_exact() {
+    fn reseal_between_writes_keeps_every_read_path_exact() {
         let mut direct = sharded(4, true);
         let mut pool = ShardPool::new(direct.clone());
-        let stab = ExtentMix::from_extents(&[0; 64]);
-        let wide = ExtentMix::from_extents(&[8_000; 64]);
-        for (step, mix) in [stab, wide, stab].into_iter().enumerate() {
+        for step in 0..3 {
             let s = Interval::new(920_000 + step as IntervalId, 40 + step as Time, 12_000);
             direct.insert(s);
             pool.insert(s);
             assert_all_read_paths_match(&pool, &direct);
             IntervalIndex::seal(&mut direct);
             pool.seal_all();
-            for j in 0..pool.shard_count() {
-                pool.retune_shard(j, mix);
-            }
             assert_all_read_paths_match(&pool, &direct);
         }
         assert_eq!(pool.len(), direct.len());
@@ -1336,27 +1302,5 @@ mod tests {
         let mut cloned = cloned;
         cloned.insert(Interval::new(650_001, 5, 6));
         assert_eq!(pool.len(), live);
-    }
-
-    #[test]
-    fn retune_preserves_results_and_reports_the_move() {
-        let direct = sharded(4, true);
-        let mut pool = ShardPool::new(direct.clone());
-        // a stab-heavy mix on short-interval data wants a deep hierarchy
-        let mix = ExtentMix::from_extents(&[0; 64]);
-        let moved = pool.retune_shard(1, mix);
-        if let Some((from, to)) = moved {
-            assert_ne!(from, to);
-        }
-        for &q in &batch() {
-            let mut want = Vec::new();
-            direct.query_sink(q, &mut want);
-            let mut got = Vec::new();
-            IntervalIndex::query_sink(&pool, q, &mut got);
-            let (mut wq, mut gq) = (want.clone(), got.clone());
-            wq.sort_unstable();
-            gq.sort_unstable();
-            assert_eq!(gq, wq, "retuned shard diverged on {q:?}");
-        }
     }
 }

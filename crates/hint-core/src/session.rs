@@ -1,9 +1,6 @@
 //! The serving-side engine handle: a [`Session`] owns a [`ShardPool`]
-//! over a [`ShardedIndex`], applies checked writes to its shards,
-//! reseals dirty shards on demand — and *adapts*: it accumulates a
-//! per-shard histogram of the query extents each shard actually serves,
-//! and at reseal time rebuilds dirty shards at the `m` the §3.3 cost
-//! model picks for that observed mix ([`crate::cost_model::retuned_m`]).
+//! over a [`ShardedIndex`], applies checked writes to its shards, and
+//! reseals them on demand.
 //!
 //! A network front-end (see the workspace's `serve` crate) needs a
 //! single object that (a) answers query batches through the shard pool,
@@ -15,24 +12,9 @@
 //! (not just the bundled wire protocol) can serve the sharded index the
 //! same way.
 //!
-//! ## Re-tuning policy (`HINT_SERVE_RETUNE`)
-//!
-//! The paper picks `m` once, globally, from the expected query-extent
-//! mix; a serving deployment observes the *actual* per-shard mix and can
-//! do better between seals. [`RetunePolicy`] controls when:
-//!
-//! * `off` (default) — never re-tune; reseals only fold overlays in;
-//! * `seal` — when a dirty shard is resealed ([`Session::seal_if_dirty`])
-//!   and it has seen at least [`MIN_RETUNE_OBSERVATIONS`] local queries,
-//!   rebuild it at the cost model's `m` for its observed mix;
-//! * `idle` — `seal`, plus the serve scheduler may call
-//!   [`Session::reseal_idle`] between batches so dirty shards fold in
-//!   (and re-tune) without waiting for an explicit `Seal` request.
-//!
-//! Re-tuning never changes results — the rebuilt shard holds the same
-//! live intervals over the same range — and
-//! [`crate::cost_model::retuned_m`] guarantees the chosen `m` never
-//! loses to the old one on the observed histogram.
+//! Each shard's hierarchy depth `m` is fixed when the index is built
+//! (the §3.3 cost model picks it, as in the paper); a reseal only folds
+//! the shards' update overlays into their columnar arenas.
 //!
 //! ## Two read routes
 //!
@@ -58,79 +40,10 @@ use crate::interval::{Interval, RangeQuery, Time, TOMBSTONE};
 use crate::pool::ShardPool;
 use crate::shard::{MutableIndex, ShardedIndex};
 use crate::sink::{MergeableSink, QuerySink};
-use crate::stats::{ExtentHistogram, ExtentMix};
+use crate::stats::ExtentHistogram;
 use crate::IntervalIndex;
-use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use std::str::FromStr;
-
-/// Minimum local queries a shard must have observed before a reseal may
-/// re-tune its `m` — below this the histogram is noise, not a mix.
-pub const MIN_RETUNE_OBSERVATIONS: u64 = 16;
-
-/// When the session may rebuild a dirty shard at a re-tuned `m` (see
-/// the module docs and the `HINT_SERVE_RETUNE` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetunePolicy {
-    /// Never re-tune.
-    #[default]
-    Off,
-    /// Re-tune dirty shards whenever they are resealed.
-    OnSeal,
-    /// `OnSeal`, plus the serve scheduler reseals (and re-tunes) dirty
-    /// shards between batches when the request stream goes idle.
-    Idle,
-}
-
-impl FromStr for RetunePolicy {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s {
-            "off" => Ok(RetunePolicy::Off),
-            "seal" => Ok(RetunePolicy::OnSeal),
-            "idle" => Ok(RetunePolicy::Idle),
-            _ => Err(()),
-        }
-    }
-}
-
-impl std::fmt::Display for RetunePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RetunePolicy::Off => "off",
-            RetunePolicy::OnSeal => "seal",
-            RetunePolicy::Idle => "idle",
-        })
-    }
-}
-
-impl RetunePolicy {
-    /// Reads `HINT_SERVE_RETUNE` (`off` / `seal` / `idle`); rejected
-    /// values warn once on stderr and fall back to `off` (see
-    /// [`crate::env`]).
-    pub fn from_env() -> Self {
-        crate::env::var_or(
-            "HINT_SERVE_RETUNE",
-            RetunePolicy::Off,
-            "one of off/seal/idle",
-            |_| true,
-        )
-    }
-}
-
-/// One completed re-tune: shard `shard` was rebuilt from depth `from`
-/// to depth `to` at a reseal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetuneEvent {
-    /// Index of the rebuilt shard.
-    pub shard: usize,
-    /// Hierarchy depth before the rebuild.
-    pub from: u32,
-    /// Hierarchy depth the cost model chose.
-    pub to: u32,
-}
 
 /// Why a client-requested write was refused. Unlike the index methods
 /// themselves (which `assert!` on contract violations, appropriate for
@@ -166,9 +79,8 @@ impl std::fmt::Display for WriteError {
 }
 
 /// An engine handle owning a pooled sharded index: checked writes,
-/// dirty-shard resealing with adaptive per-shard `m` re-tuning, and
-/// batched query execution on either read route — the substrate a
-/// serving front-end schedules work onto.
+/// resealing on demand, and batched query execution on either read
+/// route — the substrate a serving front-end schedules work onto.
 ///
 /// ```
 /// use hint_core::{
@@ -193,63 +105,40 @@ pub struct Session<I: MutableIndex + Send + Sync + 'static> {
     /// Writes applied since the last seal; the serving layer's "was
     /// there anything to do" answer.
     dirty: bool,
-    /// Which shards took those writes — the reseal's re-tune candidates.
-    dirty_shards: BTreeSet<usize>,
-    /// Per-shard observed query-extent mix (local sub-query extents).
-    mixes: Vec<ExtentHistogram>,
-    policy: RetunePolicy,
-    /// Completed re-tunes, oldest first.
-    events: Vec<RetuneEvent>,
+    /// Per-shard result counts by query extent, the fan-out route's
+    /// fork presizing hints (see
+    /// [`query_batch_merge`](Self::query_batch_merge)).
+    result_counts: Vec<ExtentHistogram>,
 }
 
 impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// Wraps (and seals) a sharded index, moving its shards into a
     /// [`ShardPool`]. Sealing up front puts every shard in
     /// the read-optimized columnar layout before the first query
-    /// arrives. The re-tune policy comes from `HINT_SERVE_RETUNE`.
-    pub fn new(index: ShardedIndex<I>) -> Self {
-        Self::with_retune(index, RetunePolicy::from_env())
-    }
-
-    /// [`Session::new`] with an explicit re-tune policy instead of the
-    /// environment knob.
-    pub fn with_retune(mut index: ShardedIndex<I>, policy: RetunePolicy) -> Self {
+    /// arrives.
+    pub fn new(mut index: ShardedIndex<I>) -> Self {
         IntervalIndex::seal(&mut index);
-        let pool = ShardPool::new(index);
-        let mixes = (0..pool.shard_count())
-            .map(|_| ExtentHistogram::new())
-            .collect();
-        Self {
-            pool,
-            dirty: false,
-            dirty_shards: BTreeSet::new(),
-            mixes,
-            policy,
-            events: Vec::new(),
-        }
+        let mut session = Self::new_unsealed(index);
+        session.dirty = false;
+        session
     }
 
     /// Wraps an index without sealing it (for embedders that manage the
-    /// seal cycle themselves). Every shard starts dirty.
+    /// seal cycle themselves). The session starts dirty.
     pub fn new_unsealed(index: ShardedIndex<I>) -> Self {
         let pool = ShardPool::new(index);
-        let mixes = (0..pool.shard_count())
+        let result_counts = (0..pool.shard_count())
             .map(|_| ExtentHistogram::new())
             .collect();
-        let dirty_shards = (0..pool.shard_count()).collect();
         Self {
             pool,
             dirty: true,
-            dirty_shards,
-            mixes,
-            policy: RetunePolicy::from_env(),
-            events: Vec::new(),
+            result_counts,
         }
     }
 
     /// The underlying shard pool (solo queries, the explicit fan-out,
-    /// dispatch stats). Queries issued directly on the pool bypass the
-    /// session's extent accounting.
+    /// dispatch stats).
     pub fn pool(&self) -> &ShardPool<I> {
         &self.pool
     }
@@ -274,32 +163,6 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         self.pool.is_empty()
     }
 
-    /// The active re-tune policy.
-    pub fn retune_policy(&self) -> RetunePolicy {
-        self.policy
-    }
-
-    /// Completed re-tunes, oldest first.
-    pub fn retunes(&self) -> &[RetuneEvent] {
-        &self.events
-    }
-
-    /// The observed query-extent mix of shard `j`.
-    pub fn shard_mix(&self, j: usize) -> ExtentMix {
-        self.mixes[j].snapshot()
-    }
-
-    /// Records the shard-local extents a query contributes to each
-    /// routed shard's histogram.
-    fn observe(&self, q: RangeQuery) {
-        let router = self.pool.router();
-        let (lo, hi) = router.route(q);
-        for j in lo..=hi {
-            let lq = router.local_query(j, q, lo, hi);
-            self.mixes[j].record(lq.end - lq.st);
-        }
-    }
-
     /// Checked insert: routes to the shards the interval overlaps, or reports
     /// [`WriteError::OutOfDomain`] instead of panicking — the write path
     /// for requests arriving from untrusted clients.
@@ -307,15 +170,12 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         if s.id == TOMBSTONE {
             return Err(WriteError::ReservedId);
         }
-        let (lo, hi) = self
-            .pool
-            .router()
-            .route_write(&s)
-            .ok_or(WriteError::OutOfDomain {
+        if self.pool.router().route_write(&s).is_none() {
+            return Err(WriteError::OutOfDomain {
                 domain: self.domain(),
-            })?;
+            });
+        }
         self.pool.insert(s);
-        self.dirty_shards.extend(lo..=hi);
         self.dirty = true;
         Ok(())
     }
@@ -326,70 +186,33 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// than an error.
     pub fn delete(&mut self, s: &Interval) -> bool {
         let found = self.pool.delete(s);
-        if found {
-            let (lo, hi) = self.pool.router().route(RangeQuery {
-                st: s.st,
-                end: s.end,
-            });
-            self.dirty_shards.extend(lo..=hi);
-            self.dirty = true;
-        }
+        self.dirty |= found;
         found
     }
 
     /// Reseals the index if any writes landed since the last seal,
     /// folding overlay entries into the columnar arenas shard by shard
     /// (clean shards are skipped by the inner fast path, so the cost is
-    /// O(dirty shards)). Under [`RetunePolicy::OnSeal`] /
-    /// [`RetunePolicy::Idle`], each dirty shard that has observed at
-    /// least [`MIN_RETUNE_OBSERVATIONS`] local queries is instead
-    /// rebuilt at the `m` the cost model picks for its observed mix
-    /// (recorded in [`Session::retunes`]). Returns whether a reseal
-    /// actually ran.
+    /// O(dirty shards)). Returns whether a reseal actually ran.
     pub fn seal_if_dirty(&mut self) -> bool {
         if !self.dirty {
             return false;
         }
-        if self.policy != RetunePolicy::Off {
-            let candidates: Vec<usize> = self.dirty_shards.iter().copied().collect();
-            for j in candidates {
-                if self.mixes[j].observations() < MIN_RETUNE_OBSERVATIONS {
-                    continue;
-                }
-                if let Some((from, to)) = self.pool.retune_shard(j, self.mixes[j].snapshot()) {
-                    self.events.push(RetuneEvent { shard: j, from, to });
-                }
-            }
-        }
-        // fold remaining dirty overlays in; re-tuned shards come back
-        // sealed, so their reseal is the free idempotent path
         self.pool.seal_all();
         self.dirty = false;
-        self.dirty_shards.clear();
         true
-    }
-
-    /// The serve scheduler's between-batches hook: under
-    /// [`RetunePolicy::Idle`], reseal (and re-tune) now if dirty.
-    /// Returns whether a reseal ran.
-    pub fn reseal_idle(&mut self) -> bool {
-        if self.policy != RetunePolicy::Idle {
-            return false;
-        }
-        self.seal_if_dirty()
     }
 }
 
 impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// Evaluates a batch of queries, one [`MergeableSink`] per query,
     /// fanned out across the pool's helper threads (the fan-out route,
-    /// see [Two read routes](self#two-read-routes)), recording each
-    /// query's shard-local extents in the per-shard histograms. Results
-    /// are bit-identical to solo [`query_sink`](Self::query_sink) calls.
+    /// see [Two read routes](self#two-read-routes)). Results are
+    /// bit-identical to solo [`query_sink`](Self::query_sink) calls.
     ///
-    /// The histograms also pay back: each query's forked sinks are
-    /// pre-sized from the mean result count previously observed for its
-    /// extent bucket ([`ExtentHistogram::expected_results`], fed through
+    /// Each query's forked sinks are pre-sized from the mean result
+    /// count previously observed for its extent bucket
+    /// ([`ExtentHistogram::expected_results`], fed through
     /// [`ShardPool::query_batch_merge_hinted`]), and counting sinks
     /// report their totals back after the batch — a feedback loop that
     /// kills mid-scan fork reallocation once a workload's shape has been
@@ -403,9 +226,6 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         queries: &[RangeQuery],
         sinks: &mut [S],
     ) {
-        for &q in queries {
-            self.observe(q);
-        }
         // Predict per-query result counts from each query's first routed
         // shard (where the merged total was recorded). All-None batches
         // skip the hint plumbing entirely.
@@ -413,7 +233,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         let mut any = false;
         for &q in queries {
             let (lo, _) = self.pool.router().route(q);
-            match self.mixes[lo].expected_results(q.end - q.st) {
+            match self.result_counts[lo].expected_results(q.end - q.st) {
                 Some(n) => {
                     any = true;
                     hints.push(n);
@@ -426,7 +246,7 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
         for (&q, sink) in queries.iter().zip(sinks.iter()) {
             if let Some(n) = sink.result_count() {
                 let (lo, _) = self.pool.router().route(q);
-                self.mixes[lo].record_results(q.end - q.st, n);
+                self.result_counts[lo].record_results(q.end - q.st, n);
             }
         }
     }
@@ -435,23 +255,18 @@ impl<I: MutableIndex + Send + Sync + 'static> Session<I> {
     /// route, see [Two read routes](self#two-read-routes)): each
     /// shard's sub-batch is drained straight into the callers' sinks,
     /// so nothing is forked and no result-count hints are needed.
-    /// Records each query's shard-local extents like
-    /// [`query_batch_merge`](Self::query_batch_merge), and gives the
-    /// same results.
+    /// Gives the same results as
+    /// [`query_batch_merge`](Self::query_batch_merge).
     ///
     /// # Panics
     /// Panics if `queries` and `sinks` have different lengths.
     pub fn query_batch_inline<S: QuerySink>(&self, queries: &[RangeQuery], sinks: &mut [S]) {
-        for &q in queries {
-            self.observe(q);
-        }
         self.pool.query_batch_inline(queries, sinks);
     }
 
     /// Solo query into a sink, walked inline — the reference path
     /// batched serving must stay bit-identical to.
     pub fn query_sink<S: QuerySink + ?Sized>(&self, q: RangeQuery, sink: &mut S) {
-        self.observe(q);
         self.pool.query_sink_pooled(q, sink)
     }
 }
@@ -503,8 +318,7 @@ impl Session<crate::HintMSubs> {
     /// Restores a session from a snapshot file: a fully-validated bulk
     /// read straight into the sealed arenas (no re-sort, no
     /// re-assignment pass). Any corruption yields a typed
-    /// [`RestoreError`], never a panic. The re-tune policy comes from
-    /// `HINT_SERVE_RETUNE`, as in [`Session::new`].
+    /// [`RestoreError`], never a panic.
     pub fn restore(path: impl AsRef<Path>) -> Result<Self, RestoreError> {
         Self::restore_with(path.as_ref(), &mut StdSnapshotIo::default())
     }
@@ -530,7 +344,7 @@ mod tests {
     use crate::{Domain, HintMSubs, SubsConfig};
 
     fn session() -> Session<HintMSubs> {
-        Session::with_retune(build(), RetunePolicy::Off)
+        Session::new(build())
     }
 
     fn data() -> Vec<Interval> {
@@ -643,87 +457,6 @@ mod tests {
                 assert_eq!(got, &solo, "round {round}: {q:?}");
             }
         }
-    }
-
-    #[test]
-    fn policy_parses_and_renders() {
-        assert_eq!("off".parse(), Ok(RetunePolicy::Off));
-        assert_eq!("seal".parse(), Ok(RetunePolicy::OnSeal));
-        assert_eq!("idle".parse(), Ok(RetunePolicy::Idle));
-        assert_eq!("sometimes".parse::<RetunePolicy>(), Err(()));
-        assert_eq!(RetunePolicy::OnSeal.to_string(), "seal");
-        // the env layer accepts the policy as a hardened knob
-        let parsed: Result<RetunePolicy, _> =
-            crate::env::parse("HINT_SERVE_RETUNE", "idle", "", |_| true);
-        assert_eq!(parsed, Ok(RetunePolicy::Idle));
-        assert!(
-            crate::env::parse::<RetunePolicy>("HINT_SERVE_RETUNE", "always", "", |_| true).is_err()
-        );
-    }
-
-    #[test]
-    fn observed_mix_lands_in_the_routed_shards() {
-        let s = session();
-        // shard 0 spans [0, 1023]: a stab and a short range there
-        s.query_sink(RangeQuery::stab(5), &mut Vec::new());
-        s.query_sink(RangeQuery::new(10, 20), &mut Vec::new());
-        let mix = s.shard_mix(0);
-        assert_eq!(mix.observations(), 2);
-        assert_eq!(mix.counts[0], 1); // the stab
-                                      // a domain-spanning query contributes one local extent per shard
-        s.query_sink(RangeQuery::new(0, 4_095), &mut Vec::new());
-        for j in 0..4 {
-            assert!(s.shard_mix(j).observations() >= 1, "shard {j}");
-        }
-    }
-
-    #[test]
-    fn reseal_retunes_dirty_shards_under_the_mix() {
-        let mut s = Session::with_retune(build(), RetunePolicy::OnSeal);
-        // a stab-heavy mix over shard 0 (short intervals want deep m)
-        for i in 0..(MIN_RETUNE_OBSERVATIONS + 4) {
-            s.query_sink(RangeQuery::stab(i % 1_000), &mut Vec::new());
-        }
-        let before = s.pool().shard_ms()[0].unwrap();
-        // dirty shard 0, then reseal
-        s.try_insert(Interval::new(50_000, 10, 30)).unwrap();
-        let mut want: Vec<u64> = Vec::new();
-        s.query_sink(RangeQuery::new(0, 4_095), &mut want);
-        want.sort_unstable();
-        assert!(s.seal_if_dirty());
-        let after = s.pool().shard_ms()[0].unwrap();
-        if let Some(ev) = s.retunes().first() {
-            assert_eq!(ev.shard, 0);
-            assert_eq!(ev.from, before);
-            assert_eq!(ev.to, after);
-            assert_ne!(before, after);
-        }
-        // results are unchanged either way
-        let mut got: Vec<u64> = Vec::new();
-        s.query_sink(RangeQuery::new(0, 4_095), &mut got);
-        got.sort_unstable();
-        assert_eq!(got, want);
-        // under Off, nothing ever retunes
-        let mut off = Session::with_retune(build(), RetunePolicy::Off);
-        for i in 0..(MIN_RETUNE_OBSERVATIONS + 4) {
-            off.query_sink(RangeQuery::stab(i % 1_000), &mut Vec::new());
-        }
-        off.try_insert(Interval::new(50_000, 10, 30)).unwrap();
-        off.seal_if_dirty();
-        assert!(off.retunes().is_empty());
-    }
-
-    #[test]
-    fn reseal_idle_only_fires_under_idle_policy() {
-        let mut s = Session::with_retune(build(), RetunePolicy::OnSeal);
-        s.try_insert(Interval::new(60_000, 10, 30)).unwrap();
-        assert!(!s.reseal_idle(), "OnSeal must not reseal on idle");
-        assert!(s.is_dirty());
-        let mut s = Session::with_retune(build(), RetunePolicy::Idle);
-        s.try_insert(Interval::new(60_000, 10, 30)).unwrap();
-        assert!(s.reseal_idle());
-        assert!(!s.is_dirty());
-        assert!(!s.reseal_idle(), "clean session has nothing to fold");
     }
 
     /// Sorted ids of a solo query on `s`.

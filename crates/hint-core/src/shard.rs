@@ -53,9 +53,8 @@ use std::collections::{HashMap, HashSet};
 
 /// Write interface shared by the updatable indexes in the workspace
 /// ([`crate::Hint`], [`crate::HintMBase`], [`crate::HintMSubs`],
-/// [`crate::HybridHint`], [`crate::ConcurrentHint`]), so generic
-/// front-ends like [`ShardedIndex`] can route inserts and deletes without
-/// knowing the concrete index type.
+/// [`crate::HybridHint`]), so generic front-ends like [`ShardedIndex`]
+/// can route inserts and deletes without knowing the concrete index type.
 pub trait MutableIndex: IntervalIndex {
     /// Inserts an interval.
     fn insert(&mut self, s: Interval);
@@ -63,33 +62,6 @@ pub trait MutableIndex: IntervalIndex {
     /// Logically deletes an interval (matched by id and endpoints),
     /// returning whether it was present.
     fn delete(&mut self, s: &Interval) -> bool;
-
-    /// The hierarchy depth `m` this index currently runs at, if the
-    /// index is re-tunable. The default (`None`) marks the index as not
-    /// participating in serve-time `m` re-tuning.
-    fn tuned_m(&self) -> Option<u32> {
-        None
-    }
-
-    /// The `m` the §3.3 cost model would pick for this index's *current
-    /// contents* under the observed query-extent `mix`
-    /// ([`crate::cost_model::retuned_m`]) — guaranteed to be no worse
-    /// than [`tuned_m`](Self::tuned_m) on that mix. `None` when the
-    /// index is not re-tunable (or empty: nothing to model).
-    fn retune_m(&self, _mix: &crate::stats::ExtentMix) -> Option<u32> {
-        None
-    }
-
-    /// Rebuilds the index at depth `m` with identical contents, domain
-    /// bounds and configuration, returning it sealed — or `None` when
-    /// the index does not support re-tuning. Queries against the rebuilt
-    /// index are bit-identical to the original.
-    fn rebuild_with_m(&self, _m: u32) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
 }
 
 impl MutableIndex for crate::Hint {
@@ -117,37 +89,6 @@ impl MutableIndex for crate::HintMSubs {
     fn delete(&mut self, s: &Interval) -> bool {
         crate::HintMSubs::delete(self, s)
     }
-    fn tuned_m(&self) -> Option<u32> {
-        Some(self.domain().m())
-    }
-    fn retune_m(&self, mix: &crate::stats::ExtentMix) -> Option<u32> {
-        if self.is_empty() {
-            return None;
-        }
-        let data = self.intervals();
-        let input = crate::cost_model::ModelInput {
-            span: self.domain().max() - self.domain().min(),
-            ..crate::cost_model::ModelInput::from_data(&data, 0.0)
-        };
-        let current = self.domain().m();
-        let betas = crate::cost_model::Betas::DEFAULT;
-        let tol = 0.03; // the paper's convergence tolerance
-                        // rebuilds above m = 26 would violate the per-partition layout
-                        // bound, so clamp — and re-check the within-tolerance guarantee
-                        // after clamping (a clamped candidate is no longer the model's
-                        // free choice)
-        let m = crate::cost_model::retuned_m(&input, &betas, tol, mix, current).clamp(1, 26);
-        if crate::cost_model::mix_cost(&input, &betas, m, mix)
-            <= crate::cost_model::mix_cost(&input, &betas, current, mix) * (1.0 + tol)
-        {
-            Some(m)
-        } else {
-            Some(current)
-        }
-    }
-    fn rebuild_with_m(&self, m: u32) -> Option<Self> {
-        Some(crate::HintMSubs::rebuild_with_m(self, m))
-    }
 }
 
 impl MutableIndex for crate::HybridHint {
@@ -156,15 +97,6 @@ impl MutableIndex for crate::HybridHint {
     }
     fn delete(&mut self, s: &Interval) -> bool {
         crate::HybridHint::delete(self, s)
-    }
-}
-
-impl MutableIndex for crate::ConcurrentHint {
-    fn insert(&mut self, s: Interval) {
-        crate::ConcurrentHint::insert(self, s)
-    }
-    fn delete(&mut self, s: &Interval) -> bool {
-        crate::ConcurrentHint::delete(self, s)
     }
 }
 
@@ -799,26 +731,6 @@ impl<I: MutableIndex> ShardedIndex<I> {
         }
         self.live -= 1;
         true
-    }
-
-    /// Reseals shard `j`'s inner index at hierarchy depth `m` (same
-    /// contents, same shard range), returning whether the inner index
-    /// supported the rebuild. Results are bit-identical before and
-    /// after — only the shard's traversal cost (and replication) change.
-    /// This is the in-place spelling of serve-time re-tuning
-    /// ([`crate::ShardPool::retune_shard`] picks `m` from the cost
-    /// model).
-    ///
-    /// # Panics
-    /// Panics if `j` is out of range.
-    pub fn retune_shard(&mut self, j: usize, m: u32) -> bool {
-        match self.shards[j].index.rebuild_with_m(m) {
-            Some(rebuilt) => {
-                self.shards[j].index = rebuilt;
-                true
-            }
-            None => false,
-        }
     }
 }
 

@@ -3,12 +3,11 @@
 //! endpoint comparisons were conducted is expected to be at most ~4 per
 //! query (Lemma 4), independent of query extent and position.
 //!
-//! The module also carries the serve-time workload observations behind
-//! adaptive per-shard `m` tuning: an [`ExtentHistogram`] accumulates the
-//! query extents a shard actually receives (lock-free, so the query path
-//! records through `&self`), and its [`ExtentMix`] snapshot feeds the
-//! §3.3 cost model ([`crate::cost_model::retuned_m`]) when a dirty shard
-//! is resealed.
+//! The module also carries the serve-time result-count feedback behind
+//! fork presizing: an [`ExtentHistogram`] keys the merged result counts
+//! of completed queries by their extent (lock-free, so the query path
+//! records through `&self`), and predicts the next query's count from
+//! its extent bucket.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,28 +23,24 @@ fn bucket_of(extent: u64) -> usize {
     (64 - extent.leading_zeros()) as usize
 }
 
-/// A lock-free log2 histogram of observed query extents.
+/// A lock-free log2 histogram of observed result counts per query
+/// extent.
 ///
 /// Recording is `&self` (relaxed atomic increments), so the serving
-/// query path can accumulate observations without taking locks or
-/// requiring `&mut` access; [`snapshot`](Self::snapshot) yields a plain
-/// [`ExtentMix`] for the cost model.
+/// query path can feed it without taking locks or requiring `&mut`
+/// access.
 #[derive(Debug)]
 pub struct ExtentHistogram {
-    buckets: [AtomicU64; EXTENT_BUCKETS],
     /// Per-bucket sum of observed result counts (see
     /// [`record_results`](Self::record_results)).
     result_sums: [AtomicU64; EXTENT_BUCKETS],
-    /// Per-bucket number of result-count observations. Kept separate
-    /// from `buckets`: extents are recorded pre-query on every routed
-    /// shard, result counts only where the merged total is known.
+    /// Per-bucket number of result-count observations.
     result_obs: [AtomicU64; EXTENT_BUCKETS],
 }
 
 impl Default for ExtentHistogram {
     fn default() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             result_sums: std::array::from_fn(|_| AtomicU64::new(0)),
             result_obs: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -56,12 +51,6 @@ impl ExtentHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one observed query extent.
-    #[inline]
-    pub fn record(&self, extent: u64) {
-        self.buckets[bucket_of(extent)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the merged result count of a completed query, keyed by
@@ -86,83 +75,6 @@ impl ExtentHistogram {
         }
         let sum = self.result_sums[b].load(Ordering::Relaxed);
         Some((sum / obs) as usize)
-    }
-
-    /// A point-in-time copy of the counts.
-    pub fn snapshot(&self) -> ExtentMix {
-        let mut counts = [0u64; EXTENT_BUCKETS];
-        for (c, b) in counts.iter_mut().zip(&self.buckets) {
-            *c = b.load(Ordering::Relaxed);
-        }
-        ExtentMix { counts }
-    }
-
-    /// Total extents recorded so far.
-    pub fn observations(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A plain (copyable) snapshot of an [`ExtentHistogram`] — the observed
-/// query-extent mix the cost model re-tunes `m` against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtentMix {
-    /// Per-bucket observation counts (see [`EXTENT_BUCKETS`]).
-    pub counts: [u64; EXTENT_BUCKETS],
-}
-
-impl Default for ExtentMix {
-    fn default() -> Self {
-        Self {
-            counts: [0; EXTENT_BUCKETS],
-        }
-    }
-}
-
-impl ExtentMix {
-    /// An empty mix.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A mix built from raw extents (convenience for tests/benches).
-    pub fn from_extents(extents: &[u64]) -> Self {
-        let mut counts = [0u64; EXTENT_BUCKETS];
-        for &e in extents {
-            counts[bucket_of(e)] += 1;
-        }
-        Self { counts }
-    }
-
-    /// Total observations in the mix.
-    pub fn observations(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Representative extent of bucket `i`: 0 for the stabbing bucket,
-    /// else the midpoint of the bucket's `[2^(i-1), 2^i)` range.
-    pub fn representative(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            // 1.5 * 2^(i-1), saturating for the top buckets
-            (1u64 << (i - 1)).saturating_add(1u64 << (i - 1) >> 1)
-        }
-    }
-
-    /// Mean observed extent (0 when empty).
-    pub fn mean_extent(&self) -> f64 {
-        let total = self.observations();
-        if total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c as f64 * Self::representative(i) as f64)
-            .sum();
-        sum / total as f64
     }
 }
 
@@ -282,21 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_round_trips() {
-        let h = ExtentHistogram::new();
-        for e in [0u64, 0, 1, 5, 5, 900] {
-            h.record(e);
-        }
-        assert_eq!(h.observations(), 6);
-        let mix = h.snapshot();
-        assert_eq!(mix, ExtentMix::from_extents(&[0, 0, 1, 5, 5, 900]));
-        assert_eq!(mix.counts[0], 2); // two stabs
-        assert_eq!(mix.counts[1], 1); // extent 1
-        assert_eq!(mix.counts[3], 2); // extent 5 in [4, 8)
-        assert_eq!(mix.counts[10], 1); // extent 900 in [512, 1024)
-    }
-
-    #[test]
     fn expected_results_average_per_extent_bucket() {
         let h = ExtentHistogram::new();
         assert_eq!(h.expected_results(5), None);
@@ -308,24 +205,5 @@ mod tests {
         assert_eq!(h.expected_results(900), None);
         h.record_results(0, 3);
         assert_eq!(h.expected_results(0), Some(3));
-    }
-
-    #[test]
-    fn representatives_sit_inside_their_bucket() {
-        assert_eq!(ExtentMix::representative(0), 0);
-        assert_eq!(ExtentMix::representative(1), 1);
-        for i in 2..64 {
-            let rep = ExtentMix::representative(i);
-            assert!(rep >= 1 << (i - 1) && rep < 1 << i, "bucket {i}: {rep}");
-        }
-    }
-
-    #[test]
-    fn mean_extent_weights_buckets() {
-        let mix = ExtentMix::from_extents(&[0, 0]);
-        assert_eq!(mix.mean_extent(), 0.0);
-        let mix = ExtentMix::from_extents(&[1, 1]);
-        assert_eq!(mix.mean_extent(), 1.0);
-        assert_eq!(ExtentMix::new().mean_extent(), 0.0);
     }
 }

@@ -18,10 +18,8 @@
 //! would add a thread round trip and win no parallelism. The helpers
 //! (one per shard) still reseal dirty shards in parallel. Writes apply
 //! directly to the shards between batches, so a read queued after a
-//! write always sees it. Between
-//! batches, when the request stream goes idle, the scheduler may reseal
-//! dirty shards at a re-tuned per-shard `m` chosen from the observed
-//! query-extent mix (`HINT_SERVE_RETUNE=idle`; see `docs/tuning.md`).
+//! write always sees it; they reach the sealed arenas only when a
+//! client sends `Seal` (or a snapshot barrier reseals).
 //!
 //! ## Wire path
 //!
@@ -223,12 +221,6 @@ pub struct BatchStats {
     pub largest_batch: usize,
     /// Write requests (insert/delete/seal) applied.
     pub writes: u64,
-    /// Shards rebuilt at a re-tuned `m` (see `HINT_SERVE_RETUNE` and
-    /// [`hint_core::RetunePolicy`]).
-    pub retunes: u64,
-    /// Reseals the scheduler triggered on its own between batches
-    /// (`HINT_SERVE_RETUNE=idle`).
-    pub idle_reseals: u64,
     /// Accept-loop errors survived (transient failures like FD
     /// exhaustion, retried with bounded backoff instead of killing the
     /// acceptor thread).
@@ -1009,17 +1001,10 @@ impl Scheduler {
                     self.flush_all();
                     continue;
                 }
-                Err(TryRecvError::Empty) => {
-                    // between batches and out of work: under the `idle`
-                    // re-tune policy, fold dirty overlays in now (and
-                    // re-tune the dirty shards against their observed
-                    // extent mix) instead of waiting for a Seal request
-                    self.maybe_reseal_idle();
-                    match ops.recv() {
-                        Ok(op) => op,
-                        Err(_) => return, // every handle gone
-                    }
-                }
+                Err(TryRecvError::Empty) => match ops.recv() {
+                    Ok(op) => op,
+                    Err(_) => return, // every handle gone
+                },
                 Err(TryRecvError::Disconnected) => {
                     self.flush_all();
                     return;
@@ -1229,7 +1214,6 @@ impl Scheduler {
                 self.stats.write().writes += 1;
                 let entry = self.catalog.get_mut(eid).expect("checked above");
                 let resealed = entry.session.seal_if_dirty();
-                self.note_retunes();
                 self.send_end(
                     conn,
                     Reply {
@@ -1520,34 +1504,6 @@ impl Scheduler {
         for (conn, out) in outs {
             self.send_bytes(conn, out);
         }
-    }
-
-    /// The between-batches hook: reseal (and re-tune) dirty shards when
-    /// the request stream is idle and each session's policy allows it.
-    fn maybe_reseal_idle(&mut self) {
-        let mut any = false;
-        for entry in self.catalog.entries.iter_mut().flatten() {
-            if entry.session.reseal_idle() {
-                self.stats.write().idle_reseals += 1;
-                any = true;
-            }
-        }
-        if any {
-            self.note_retunes();
-        }
-    }
-
-    /// Mirrors the sessions' completed re-tune counts into the served
-    /// stats snapshot.
-    fn note_retunes(&mut self) {
-        let total: u64 = self
-            .catalog
-            .entries
-            .iter()
-            .flatten()
-            .map(|e| e.session.retunes().len() as u64)
-            .sum();
-        self.stats.write().retunes = total;
     }
 
     /// Streams snapshot bytes to one connection as [`SNAP_CHUNK`]-sized
@@ -2289,37 +2245,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_idle_hook_reseals_a_dirty_index_under_the_idle_policy() {
-        let session = Session::with_retune(sharded(), hint_core::RetunePolicy::Idle);
-        let (sched, gate, stats) = scheduler_over(session, ServeConfig::default());
-        let (ops, rx) = unbounded();
-        let a = TestConn::open(&ops, 1);
-        let q = probe(1);
-        let fresh = Interval::new(90_000, q.st + 10, q.st + 20);
-        a.send_cmds(&ops, &gate, vec![cmd(Request::Insert(fresh))]);
-        let handle = std::thread::spawn(move || sched.run(rx));
-        assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)]);
-        // the channel is empty and stays open: the hook reseals
-        wait_for("idle reseal", || stats.read().idle_reseals == 1);
-        a.send_cmds(&ops, &gate, vec![cmd(Request::Seal)]);
-        assert_eq!(
-            trailers(a.next_buf()),
-            vec![(Status::Ok, 0)],
-            "already clean"
-        );
-        a.send(&ops, &gate, &[q]);
-        let (got, status) = decode(a.next_buf()).remove(0);
-        assert_eq!(status, Status::Ok);
-        assert!(got.contains(&fresh.id));
-        drop(ops);
-        handle.join().unwrap();
-        assert_eq!(stats.read().idle_reseals, 1, "nothing dirty after");
-    }
-
-    #[test]
     fn scheduler_idle_hook_leaves_sealing_to_the_seal_verb_by_default() {
-        let session = Session::with_retune(sharded(), hint_core::RetunePolicy::OnSeal);
-        let (sched, gate, stats) = scheduler_over(session, ServeConfig::default());
+        let session = Session::new(sharded());
+        let (sched, gate, _) = scheduler_over(session, ServeConfig::default());
         let (ops, rx) = unbounded();
         let a = TestConn::open(&ops, 1);
         let q = probe(1);
@@ -2331,7 +2259,6 @@ mod tests {
         assert_eq!(trailers(a.next_buf()), vec![(Status::Ok, 1)], "still dirty");
         drop(ops);
         handle.join().unwrap();
-        assert_eq!(stats.read().idle_reseals, 0);
     }
 
     #[test]

@@ -8,32 +8,26 @@
 //! [`ShardPool`](hint_core::ShardPool), with one `WireSink` per query;
 //! every id the index reports is encoded
 //! straight into the sink's little-endian payload buffer (a bulk
-//! `emit_slice` run becomes one `memcpy`-shaped loop). The
-//! [`MergeableSink`] contract also makes the pool's fan-out route
-//! ([`Session::query_batch_merge`](hint_core::Session::query_batch_merge))
-//! free: a helper's fork is another byte buffer, and merging is buffer
-//! concatenation in shard order — bit-identical to the sequential
-//! emission order. When
-//! the batch returns, [`WireSink::into_frames`] chops the payload into
-//! `Results` frames and the `End` trailer addressed to the owning
-//! connection: the demux step that lets one merged walk feed many
-//! connections.
+//! `emit_slice` run becomes one `memcpy`-shaped loop). When the batch
+//! returns, [`WireSink::into_frames`] chops the payload into `Results`
+//! frames and the `End` trailer addressed to the owning connection: the
+//! demux step that lets one shared walk feed many connections.
 
 use crate::proto::{
     encode_end, encode_results_header, Reply, Status, HEADER_LEN, RESULTS_PER_FRAME,
 };
 use bytes::{BufMut, BytesMut};
 use hint_core::{
-    ArenaRun, BucketHistogram, Interval, IntervalId, MergeableSink, QuerySink, RangeQuery,
-    RelationFilter, TopKByDuration,
+    ArenaRun, BucketHistogram, Interval, IntervalId, QuerySink, RangeQuery, RelationFilter,
+    TopKByDuration,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The scheduler's shared id → interval table for one catalog entry:
 /// what lets relation filters and aggregation sinks resolve endpoints
-/// from the bare ids the walk emits. `Arc`-shared so every fork of a
-/// sink (one per shard) reads the same table without copying it.
+/// from the bare ids the walk emits. `Arc`-shared so every sink in a
+/// batch reads the same table without copying it.
 pub type Records = Arc<HashMap<IntervalId, Interval>>;
 
 /// One run of a query's results, in emission order.
@@ -42,8 +36,7 @@ enum Segment {
     /// Piecewise emissions, already in little-endian wire encoding
     /// (8 bytes per id).
     Bytes(BytesMut),
-    /// A zero-copy handle into a sealed shard's id arena — carried
-    /// across the fork/merge boundary as a slice handle and encoded
+    /// A zero-copy handle into a sealed shard's id arena, encoded
     /// straight from the arena only when frames are cut.
     Arena(ArenaRun),
 }
@@ -52,9 +45,8 @@ enum Segment {
 ///
 /// Comparison-free bulk runs arrive as [`ArenaRun`] handles
 /// ([`QuerySink::emit_arena`]) and are kept as handles until
-/// [`into_frames`](Self::into_frames) — the ids cross the pool's
-/// fork/merge boundary without ever being copied into an intermediate
-/// buffer.
+/// [`into_frames`](Self::into_frames) — the ids are never copied into
+/// an intermediate buffer.
 #[derive(Debug, Default)]
 pub struct WireSink {
     /// Completed runs, in emission order.
@@ -231,45 +223,11 @@ impl QuerySink for WireSink {
     }
 }
 
-impl MergeableSink for WireSink {
-    fn fork(&self) -> Self {
-        WireSink::new()
-    }
-
-    /// A fork pre-sized for `cap` expected ids (the serve scheduler's
-    /// histogram hint); arena runs bypass the buffer, so this only sizes
-    /// the piecewise-emission tail.
-    fn fork_sized(&self, cap: usize) -> Self {
-        Self {
-            segments: Vec::new(),
-            tail: BytesMut::with_capacity(cap * 8),
-            count: 0,
-        }
-    }
-
-    /// Run-list concatenation: forks arrive in shard order, so the
-    /// merged segment sequence equals what sequential emission would
-    /// have produced — arena handles are adopted without touching their
-    /// bytes.
-    fn merge(&mut self, mut other: Self) {
-        self.flush_tail();
-        self.segments.append(&mut other.segments);
-        self.tail = other.tail;
-        self.count += other.count;
-    }
-
-    fn result_count(&self) -> Option<usize> {
-        Some(self.count as usize)
-    }
-}
-
 /// The scheduler's per-request sink: one value type covering every
 /// walk-driven verb so a single mixed batch per catalog entry flows
 /// through one [`query_batch_inline`](hint_core::Session::query_batch_inline)
 /// call — plain range queries next to Allen refinements next to top-k
-/// and histogram aggregations. Each is also a [`MergeableSink`], so the
-/// same batch can fan out across shards and merge back by each sink's
-/// own discipline.
+/// and histogram aggregations.
 #[derive(Debug)]
 pub enum ServeSink {
     /// A plain range query, encoding ids straight to wire form.
@@ -390,57 +348,6 @@ impl QuerySink for ServeSink {
     }
 }
 
-impl MergeableSink for ServeSink {
-    fn fork(&self) -> Self {
-        match self {
-            ServeSink::Range(s) => ServeSink::Range(s.fork()),
-            ServeSink::Allen(s) => ServeSink::Allen(s.fork()),
-            ServeSink::TopK(s) => ServeSink::TopK(s.fork()),
-            ServeSink::Hist(s) => ServeSink::Hist(s.fork()),
-            ServeSink::Empty => ServeSink::Empty,
-            ServeSink::Shed => ServeSink::Shed,
-        }
-    }
-
-    fn fork_sized(&self, cap: usize) -> Self {
-        match self {
-            ServeSink::Range(s) => ServeSink::Range(s.fork_sized(cap)),
-            other => other.fork(),
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        // forks always come back as the parent's variant
-        match (self, other) {
-            (ServeSink::Range(a), ServeSink::Range(b)) => a.merge(b),
-            (ServeSink::Allen(a), ServeSink::Allen(b)) => a.merge(b),
-            (ServeSink::TopK(a), ServeSink::TopK(b)) => a.merge(b),
-            (ServeSink::Hist(a), ServeSink::Hist(b)) => a.merge(b),
-            (ServeSink::Empty, ServeSink::Empty) => {}
-            (ServeSink::Shed, ServeSink::Shed) => {}
-            _ => unreachable!("merge of mismatched ServeSink variants"),
-        }
-    }
-
-    fn is_bounded(&self) -> bool {
-        match self {
-            ServeSink::Range(s) => s.is_bounded(),
-            ServeSink::Allen(s) => s.is_bounded(),
-            ServeSink::TopK(s) => s.is_bounded(),
-            ServeSink::Hist(s) => s.is_bounded(),
-            ServeSink::Empty | ServeSink::Shed => true,
-        }
-    }
-
-    fn result_count(&self) -> Option<usize> {
-        match self {
-            ServeSink::Range(s) => s.result_count(),
-            ServeSink::Allen(s) => s.result_count(),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,31 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_in_call_order() {
-        let mut sink = WireSink::new();
-        sink.emit_slice(&[1, 2]);
-        let mut f1 = sink.fork();
-        let mut f2 = sink.fork();
-        f1.emit_slice(&[3, 4]);
-        f2.emit(5);
-        sink.merge(f1);
-        sink.merge(f2);
-        let mut out = BytesMut::new();
-        sink.into_frames(&mut out);
-        let (ids, _) = decode(out);
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_the_fork() {
-        let mut sink = WireSink::new();
-        let mut f = sink.fork();
-        f.emit_slice(&[9, 8]);
-        sink.merge(f);
-        assert_eq!(sink.count(), 2);
-    }
-
-    #[test]
     fn arena_runs_encode_straight_from_the_handle() {
         let hm = hint_core::ARENA_HANDLE_MIN as u64;
         let arena = std::sync::Arc::new((0..4 * hm).collect::<Vec<_>>());
@@ -611,26 +493,6 @@ mod tests {
         assert_eq!(reply.count, n as u64 + 1);
     }
 
-    #[test]
-    fn merged_arena_forks_preserve_emission_order() {
-        let arena = std::sync::Arc::new(vec![100u64, 101, 102, 103]);
-        let mut sink = WireSink::new();
-        sink.emit_slice(&[1, 2]);
-        let mut f1 = sink.fork();
-        let mut f2 = sink.fork_sized(8);
-        f1.emit_arena(&ArenaRun::new(std::sync::Arc::clone(&arena), 0, 2));
-        f1.emit(3);
-        f2.emit(4);
-        f2.emit_arena(&ArenaRun::new(arena, 2, 4));
-        sink.merge(f1);
-        sink.merge(f2);
-        assert_eq!(sink.count(), 8);
-        let mut out = BytesMut::new();
-        sink.into_frames(&mut out);
-        let (ids, _) = decode(out);
-        assert_eq!(ids, vec![1, 2, 100, 101, 3, 4, 102, 103]);
-    }
-
     /// The in-place framing writes exactly the bytes of the reference
     /// encoding — `encode_results` over 1024-id chunks of the flat id
     /// list, then `encode_end` — at every frame-boundary count, from
@@ -667,16 +529,14 @@ mod tests {
                         pos += k;
                     }
                     _ => {
-                        // a fork holding an arena handle and piecewise
-                        // ids, merged back in order
-                        let mut fork = sink.fork();
+                        // an arena handle right behind another, then
+                        // piecewise ids
                         let k = left.min(hm);
-                        fork.emit_arena(&run(pos, k));
+                        sink.emit_arena(&run(pos, k));
                         pos += k;
                         let k = (n - pos).min(5);
-                        fork.emit_slice(&all[pos..pos + k]);
+                        sink.emit_slice(&all[pos..pos + k]);
                         pos += k;
-                        sink.merge(fork);
                     }
                 }
             }

@@ -267,15 +267,14 @@ pub mod lifecycle {
     //! The seeded stateful lifecycle driver shared by `tests/lifecycle.rs`
     //! (the fuzz seed matrix) and `tests/regressions.rs` (failing seeds,
     //! replayed forever): a long random interleaving of insert / delete /
-    //! seal / re-tune / query (solo, batched, merged, bounded sinks)
+    //! seal / query (solo, batched, merged, bounded sinks)
     //! driven through a pooled [`Session`] against the `ScanOracle` twin,
     //! across the [`super::shard_counts`] sweep.
 
     use super::{expect_same_results, fuzz, shard_counts};
     use hint_core::{
         CountSink, Domain, ExistsSink, FirstK, HandleSink, HintMSubs, Interval, IntervalId,
-        IntervalIndex, QuerySink, RangeQuery, RetunePolicy, ScanOracle, Session, ShardedIndex,
-        SubsConfig,
+        IntervalIndex, QuerySink, RangeQuery, ScanOracle, Session, ShardedIndex, SubsConfig,
     };
 
     /// A point-in-time pair: snapshot bytes and the live set they
@@ -304,15 +303,14 @@ pub mod lifecycle {
     }
 
     /// Replays one lifecycle seed: 60 random steps, each differentially
-    /// checked, with re-tuning enabled on every reseal, then a final
-    /// reseal and the full differential battery. Steps include in-memory
-    /// snapshot/restore, so save interleaves with insert / delete /
-    /// seal / re-tune and restore rolls both the engine and the oracle
-    /// twin back to the snapshot point. Panics on divergence.
+    /// checked, then a final reseal and the full differential battery.
+    /// Steps include in-memory snapshot/restore, so save interleaves
+    /// with insert / delete / seal and restore rolls both the engine and
+    /// the oracle twin back to the snapshot point. Panics on divergence.
     pub fn replay(seed: u64) {
         let w = fuzz::workload(seed, DOM, 140, 16, 0);
         for k in shard_counts() {
-            let mut session = Session::with_retune(build_sharded(&w.data, k), RetunePolicy::OnSeal);
+            let mut session = Session::new(build_sharded(&w.data, k));
             let mut oracle = ScanOracle::new(&w.data);
             let mut live = w.data.clone();
             let mut rng = fuzz::Rng::new(seed ^ 0x11f3_c1c1);
@@ -355,8 +353,7 @@ pub mod lifecycle {
                         }
                     }
                     5 => {
-                        // reseal: folds overlays in and may re-tune
-                        // dirty shards against the mix observed so far
+                        // reseal: folds overlays in
                         let was_dirty = session.is_dirty();
                         assert_eq!(session.seal_if_dirty(), was_dirty, "{}", ctx("seal"));
                     }
@@ -476,8 +473,8 @@ pub mod lifecycle {
                         }
                     }
                     12 => {
-                        // stab burst: skews the observed mix toward
-                        // extent 0 so later reseals exercise the re-tuner
+                        // stab burst: extent-0 queries between the
+                        // writes and reseals
                         for _ in 0..4 {
                             let t = rng.below(DOM);
                             let q = RangeQuery::stab(t);
@@ -518,8 +515,8 @@ pub mod lifecycle {
                     }
                 }
             }
-            // final reseal (+ possible re-tunes), then the full
-            // differential battery over the workload's query set
+            // final reseal, then the full differential battery over the
+            // workload's query set
             session.seal_if_dirty();
             expect_same_results(
                 &format!("lifecycle seed {seed:#x} K={k}"),

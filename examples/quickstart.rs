@@ -123,32 +123,28 @@ fn main() {
     drop(client);
     server.shutdown();
 
-    // --- 10. the shard pool + serve-time m re-tuning --------------------
+    // --- 10. the shard pool and its two read routes --------------------
     // A `Session` owns its shards through a `ShardPool` with one helper
     // thread per shard: `query_batch_merge` fans a batch out to the
     // helpers (zero per-batch thread spawns), and `query_batch_inline`,
-    // the route the server drives, walks it on the calling thread. The
-    // session also records the query-extent mix each shard
-    // actually serves; under HINT_SERVE_RETUNE=seal (or `idle`, which
-    // additionally reseals between batches when the server goes quiet),
-    // a dirty shard is resealed at the m the §3.3 cost model picks for
-    // that observed mix — see docs/tuning.md.
-    use hint_suite::hint_core::RetunePolicy;
+    // the route the server drives, walks it on the calling thread. Both
+    // give what solo queries give. Each shard's m is fixed at build
+    // time; a reseal only folds the pending writes into the arenas.
     let sharded = ShardedIndex::build_with_domain(&data, 0, 1_000, 2, |slice, lo, hi| {
         HintMSubs::build_with_domain(slice, Domain::new(lo, hi, 4), SubsConfig::full())
     });
-    let mut session = Session::with_retune(sharded, RetunePolicy::OnSeal);
-    // a stab-heavy mix: the coarse m = 4 hierarchy is mis-tuned for it
-    for t in 0..32 {
-        let mut sink = Vec::new();
-        session.query_sink(RangeQuery::stab(t * 31), &mut sink);
-    }
+    let mut session = Session::new(sharded);
     session.try_insert(Interval::new(10, 400, 500)).unwrap(); // dirty shard 0
-    session.seal_if_dirty(); // reseal re-tunes the dirty shard
-    for ev in session.retunes() {
-        println!("retuned shard {}: m {} -> {}", ev.shard, ev.from, ev.to);
-    }
-    assert!(session.pool().exists(RangeQuery::new(420, 430))); // results unchanged
+    assert!(session.seal_if_dirty()); // reseal folds the write in
+    let queries: Vec<RangeQuery> = (0..8)
+        .map(|t| RangeQuery::new(t * 120, t * 120 + 60))
+        .collect();
+    let mut fanned: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
+    session.query_batch_merge(&queries, &mut fanned);
+    let mut inline: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
+    session.query_batch_inline(&queries, &mut inline);
+    assert_eq!(fanned, inline); // same ids, same order
+    assert!(session.pool().exists(RangeQuery::new(420, 430)));
     println!("pool dispatch stats:  {:?}", session.pool().stats());
 
     // --- 11. durable snapshot + restore ---------------------------------

@@ -1,25 +1,20 @@
 //! Stateful lifecycle fuzz for the pooled serving engine: long seeded
-//! interleavings of insert / delete / seal / re-tune / query (solo,
-//! batched, merged, bounded sinks) driven through a [`Session`] — whose
-//! shards live in its shard pool — against the `ScanOracle`
-//! twin, across the `HINT_TEST_SHARDS` sweep.
+//! interleavings of insert / delete / seal / query (solo, batched,
+//! merged, bounded sinks) driven through a [`Session`] — whose shards
+//! live in its shard pool — against the `ScanOracle` twin, across the
+//! `HINT_TEST_SHARDS` sweep.
 //!
 //! Also home to the shard-pool shutdown/respawn coverage (drop a pool
 //! mid-stream, reseal while a batch is pipelined behind the write
-//! barrier, rebuild a pool from a recovered index) and the re-tune
-//! correctness properties (a shard resealed at any `m' != m` answers
-//! identically for every sink type; the cost model's choice never loses
-//! to the old `m` on the observed histogram beyond its tolerance).
+//! barrier, rebuild a pool from a recovered index).
 //!
 //! **Convention:** any seed that ever fails here is shrunk, fixed, and
 //! then added to `tests/regressions.rs` (`replay_lifecycle`) forever.
 
 use hint_suite::hint_core::{
-    mix_cost, retuned_m, Betas, Domain, ExtentMix, FirstK, HandleSink, HintMSubs, Interval,
-    IntervalId, IntervalIndex, ModelInput, RangeQuery, ResultRun, RetunePolicy, ScanOracle,
+    Domain, FirstK, HandleSink, HintMSubs, Interval, IntervalId, RangeQuery, ResultRun, ScanOracle,
     Session, ShardPool, ShardedIndex, SubsConfig,
 };
-use proptest::prelude::*;
 use serve::{duplex, Client, ServeConfig, Server, Status};
 use test_support::{expect_same_results, fuzz, shard_counts};
 
@@ -59,10 +54,7 @@ fn lifecycle_fuzz_seed_matrix() {
 fn zero_copy_handles_survive_a_reseal_epoch() {
     let w = fuzz::workload(0x2cee, DOM, 500, 16, 0);
     for k in shard_counts() {
-        let mut session = Session::with_retune(
-            build_sharded(&w.data, k, SubsConfig::update_friendly()),
-            RetunePolicy::OnSeal,
-        );
+        let mut session = Session::new(build_sharded(&w.data, k, SubsConfig::update_friendly()));
         let mut oracle = ScanOracle::new(&w.data);
         // epoch 1: acquire handles into the freshly sealed arenas
         let qs = &w.queries[..12.min(w.queries.len())];
@@ -124,10 +116,7 @@ fn dropping_a_busy_pool_does_not_deadlock() {
         drop(pool); // must join every helper, not leak or hang
     }
     // the session spelling: drop with a dirty overlay and queued writes
-    let mut session = Session::with_retune(
-        build_sharded(&w.data, 4, SubsConfig::full()),
-        RetunePolicy::OnSeal,
-    );
+    let mut session = Session::new(build_sharded(&w.data, 4, SubsConfig::full()));
     for i in 0..256u64 {
         session
             .try_insert(Interval::new(
@@ -146,10 +135,7 @@ fn dropping_a_busy_pool_does_not_deadlock() {
 #[test]
 fn server_shutdown_with_pipelined_queries_in_flight() {
     let w = fuzz::workload(0x11ff, DOM, 300, 0, 0);
-    let session = Session::with_retune(
-        build_sharded(&w.data, 4, SubsConfig::full()),
-        RetunePolicy::Idle,
-    );
+    let session = Session::new(build_sharded(&w.data, 4, SubsConfig::full()));
     let server = Server::start(session, ServeConfig::default()).unwrap();
     let (client_end, server_end) = duplex();
     server.attach(server_end);
@@ -172,29 +158,26 @@ fn server_shutdown_with_pipelined_queries_in_flight() {
     server.shutdown(); // must not deadlock on the unread tail
 }
 
-/// Reseal (and re-tune) while a batch is pipelined behind the write
-/// barrier: queries before the Seal see the pre-seal index, queries
-/// after it the re-tuned one, and every reply stays exact and in FIFO
-/// order on the connection.
+/// Reseal while a batch is pipelined behind the write barrier: queries
+/// before the Seal see the pre-seal index, queries after it the
+/// resealed one, and every reply stays exact and in FIFO order on the
+/// connection.
 #[test]
 fn reseal_behind_the_write_barrier_keeps_replies_exact() {
     let w = fuzz::workload(0x1200, DOM, 400, 24, 0);
     let mut oracle = ScanOracle::new(&w.data);
-    let session = Session::with_retune(
-        build_sharded(&w.data, 4, SubsConfig::update_friendly()),
-        RetunePolicy::OnSeal,
-    );
+    let session = Session::new(build_sharded(&w.data, 4, SubsConfig::update_friendly()));
     let server = Server::start(session, ServeConfig::default()).unwrap();
     let (client_end, server_end) = duplex();
     server.attach(server_end);
     let mut client = Client::new(client_end).unwrap();
-    // skew the mix so the mid-stream reseal has something to re-tune on
+    // a run of stabs ahead of the barrier
     for t in 0..24u64 {
         client
             .send(&serve::Request::Query(RangeQuery::stab(t * 131)))
             .unwrap();
     }
-    // pipeline: queries → insert (barrier) → seal (barrier, re-tunes) →
+    // pipeline: queries → insert (barrier) → seal (barrier) →
     // queries, all before reading a single reply
     for q in &w.queries[..12] {
         client.send(&serve::Request::Query(*q)).unwrap();
@@ -282,10 +265,7 @@ fn crash_recovery_matrix_covers_every_fault_point() {
     for k in shard_counts() {
         let path = dir.join(format!("k{k}.snap"));
         // state A: sealed seed build, durably saved
-        let mut session = Session::with_retune(
-            build_sharded(&w.data, k, SubsConfig::update_friendly()),
-            RetunePolicy::Off,
-        );
+        let mut session = Session::new(build_sharded(&w.data, k, SubsConfig::update_friendly()));
         session.snapshot(&path).unwrap();
         let bytes_a = session.snapshot_bytes().unwrap();
         // state B: mutate past A (inserts + a delete), sealed by the
@@ -375,10 +355,7 @@ fn crash_recovery_matrix_covers_every_fault_point() {
 fn tcp_peer_bootstrap_from_a_snapshot_stream() {
     use std::net::{TcpListener, TcpStream};
     let w = fuzz::workload(0xFA02, DOM, 500, 24, 0);
-    let mut session = Session::with_retune(
-        build_sharded(&w.data, 4, SubsConfig::full()),
-        RetunePolicy::Off,
-    );
+    let mut session = Session::new(build_sharded(&w.data, 4, SubsConfig::full()));
     // post-build churn so the snapshot barrier has something to seal
     session
         .try_insert(Interval::new(950_000, 100, 900))
@@ -411,114 +388,13 @@ fn tcp_peer_bootstrap_from_a_snapshot_stream() {
     server_b.shutdown();
 }
 
-// ---- re-tune correctness properties --------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // a shard resealed at any m' != m answers identically for every
-    // sink type (enumerate / count / exists / first-k, solo + batched)
-    #[test]
-    fn retuned_shard_is_bit_identical_for_all_sinks(
-        data in test_support::intervals(DOM),
-        qs in test_support::queries(DOM, 10),
-        shard_sel in 0usize..8,
-        m_new in 1u32..13,
-    ) {
-        for k in shard_counts() {
-            let mut retuned = build_sharded(&data, k, SubsConfig::full());
-            IntervalIndex::seal(&mut retuned);
-            let baseline = retuned.clone();
-            let j = shard_sel % retuned.shard_count();
-            prop_assert!(retuned.retune_shard(j, m_new));
-            test_support::assert_indexes_agree(
-                &format!("retuned(m'={m_new}) vs untouched K={k}"),
-                &retuned,
-                &baseline,
-                &qs,
-            )?;
-        }
-    }
-
-    // the cost model's chosen m' never loses to the old m on the
-    // observed histogram (beyond its convergence tolerance), for
-    // arbitrary observed mixes and arbitrary starting m
-    #[test]
-    fn cost_model_choice_never_loses_on_the_observed_mix(
-        extents in prop::collection::vec(0u64..(1 << 24), 1..40),
-        current in 1u32..22,
-        n in 1_000u64..10_000_000,
-        lambda_s in 1u64..3_000_000,
-    ) {
-        let tol = 0.03;
-        let input = ModelInput { n, lambda_s: lambda_s as f64, lambda_q: 0.0, span: 1 << 24 };
-        let mix = ExtentMix::from_extents(&extents);
-        let current = current.min(input.max_m());
-        let chosen = retuned_m(&input, &Betas::DEFAULT, tol, &mix, current);
-        prop_assert!(chosen >= 1 && chosen <= input.max_m());
-        let lost = mix_cost(&input, &Betas::DEFAULT, chosen, &mix)
-            <= mix_cost(&input, &Betas::DEFAULT, current, &mix) * (1.0 + tol) + 1e-18;
-        prop_assert!(lost, "m'={chosen} loses to m={current} on the observed mix");
-    }
-}
-
-/// The end-to-end re-tune property at session level: a skewed mix plus
-/// a dirty reseal must never change results, and when the model moves
-/// `m`, the move is recorded and the new `m` wins (or ties within
-/// tolerance) on the session's own observed histogram.
-#[test]
-fn session_retune_end_to_end_preserves_results() {
-    let w = fuzz::workload(0x1202, DOM, 500, 32, 0);
-    for k in shard_counts() {
-        // deliberately coarse shards: m = 4 is mis-tuned for stabs
-        let sharded = ShardedIndex::build_with_domain(&w.data, 0, DOM - 1, k, |slice, lo, hi| {
-            HintMSubs::build_with_domain(slice, Domain::new(lo, hi, 4), SubsConfig::full())
-        });
-        let mut session = Session::with_retune(sharded, RetunePolicy::OnSeal);
-        let mut oracle = ScanOracle::new(&w.data);
-        // enough stabs that every shard clears MIN_RETUNE_OBSERVATIONS
-        // even at the widest K in the sweep
-        for i in 0..512u64 {
-            let q = RangeQuery::stab((i * 67) % DOM);
-            assert_eq!(session_sorted(&session, q), oracle.query_sorted(q));
-        }
-        // dirty every shard so the reseal may re-tune each of them
-        for j in 0..session.pool().shard_count() as u64 {
-            let (lo, hi) = session.pool().shard_bounds()[j as usize];
-            let s = Interval::new(910_000 + j, lo, hi.min(lo + 3));
-            session.try_insert(s).unwrap();
-            oracle.insert(s);
-        }
-        assert!(session.seal_if_dirty());
-        for ev in session.retunes() {
-            assert_ne!(ev.from, ev.to, "recorded a no-op retune");
-            assert_eq!(ev.from, 4);
-        }
-        // stabs on short-interval data want a deeper hierarchy: with
-        // enough observations the model must move at least one shard
-        assert!(
-            !session.retunes().is_empty(),
-            "K={k}: stab-heavy mix left every coarse shard untouched"
-        );
-        expect_same_results(
-            &format!("session after retune K={k}"),
-            session.pool(),
-            &oracle,
-            &w.queries,
-        );
-    }
-}
-
 /// The dispatch-stop fix, end to end: a saturated first-k batch stops
 /// walking sub-queries on the remaining shards (counted by
 /// the pool's dispatch stats), at unchanged results.
 #[test]
 fn saturated_first_k_stops_dispatching_across_shards() {
     let w = fuzz::workload(0x1203, DOM, 600, 0, 0);
-    let session = Session::with_retune(
-        build_sharded(&w.data, 4, SubsConfig::full()),
-        RetunePolicy::Off,
-    );
+    let session = Session::new(build_sharded(&w.data, 4, SubsConfig::full()));
     let oracle = ScanOracle::new(&w.data);
     let full = RangeQuery::new(0, DOM - 1);
     let want = oracle.query_sorted(full);
@@ -558,14 +434,12 @@ fn concurrent_snapshot_saves_commit_a_coherent_file() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("race.snap");
     let w = fuzz::workload(0x5A7E, DOM, 500, 8, 0);
-    let mut a = Session::with_retune(
-        build_sharded(&w.data, 2, SubsConfig::update_friendly()),
-        RetunePolicy::Off,
-    );
-    let mut b = Session::with_retune(
-        build_sharded(&w.data[..300], 3, SubsConfig::update_friendly()),
-        RetunePolicy::Off,
-    );
+    let mut a = Session::new(build_sharded(&w.data, 2, SubsConfig::update_friendly()));
+    let mut b = Session::new(build_sharded(
+        &w.data[..300],
+        3,
+        SubsConfig::update_friendly(),
+    ));
     let bytes_a = a.snapshot_bytes().unwrap();
     let bytes_b = b.snapshot_bytes().unwrap();
     assert_ne!(bytes_a, bytes_b);

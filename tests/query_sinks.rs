@@ -12,9 +12,8 @@
 
 use hint_suite::grid1d::Grid1D;
 use hint_suite::hint_core::{
-    CfLayout, CollectSink, ConcurrentHint, ExistsSink, FirstK, FnSink, Hint, HintCf, HintMBase,
-    HintMSubs, HybridHint, Interval, IntervalId, IntervalIndex, QuerySink, RangeQuery, ScanOracle,
-    SubsConfig,
+    CfLayout, CollectSink, ExistsSink, FirstK, FnSink, Hint, HintCf, HintMBase, HintMSubs,
+    HybridHint, Interval, IntervalId, IntervalIndex, QuerySink, RangeQuery, ScanOracle, SubsConfig,
 };
 use hint_suite::interval_tree::IntervalTree;
 use hint_suite::period_index::PeriodIndex;
@@ -100,13 +99,6 @@ fn build_all(data: &[Interval], max: u64) -> Vec<(&'static str, Box<dyn Interval
                 h.insert(s);
             }
             Box::new(h)
-        }),
-        ("concurrent", {
-            let c = ConcurrentHint::new(&data[..data.len() / 2 + 1], 0, max, 9);
-            for &s in &data[data.len() / 2 + 1..] {
-                c.insert(s);
-            }
-            Box::new(c)
         }),
         ("interval-tree", Box::new(IntervalTree::build(data))),
         ("grid1d", Box::new(Grid1D::build(data, 64))),

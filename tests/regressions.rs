@@ -196,7 +196,7 @@ fn regress_serve_seed_0xfeed_f00d() {
     replay_serve(0xfeed_f00d);
 }
 
-// Lifecycle seeds: the stateful insert/delete/seal/retune/query
+// Lifecycle seeds: the stateful insert/delete/seal/query
 // interleaving over the pooled session (driver in
 // `test_support::lifecycle`, fuzz matrix in `tests/lifecycle.rs`).
 // Bootstrap seeds below; every lifecycle seed that ever fails is added
