@@ -248,6 +248,70 @@ mod tests {
     }
 
     #[test]
+    fn m_opt_never_falls_as_the_tolerance_tightens() {
+        let inp = input();
+        let mut prev = 0;
+        for tol in [0.5, 0.1, 0.03, 0.01, 0.0] {
+            let m = m_opt(&inp, &Betas::DEFAULT, tol);
+            assert!(m >= prev, "tolerance {tol}: m_opt {m} < {prev}");
+            assert!(m <= inp.max_m());
+            prev = m;
+        }
+        // with no slack the chosen m costs exactly the comparison-free one
+        let best = estimated_cost(&inp, &Betas::DEFAULT, inp.max_m());
+        assert_eq!(estimated_cost(&inp, &Betas::DEFAULT, prev), best);
+    }
+
+    #[test]
+    fn short_intervals_want_a_deeper_hierarchy_than_long_ones() {
+        let long = input();
+        let short = ModelInput {
+            lambda_s: 758.0,
+            ..long
+        };
+        let (m_long, m_short) = (
+            m_opt(&long, &Betas::DEFAULT, 0.03),
+            m_opt(&short, &Betas::DEFAULT, 0.03),
+        );
+        assert!(
+            m_short > m_long,
+            "few results leave comparisons dominant: {m_short} vs {m_long}"
+        );
+    }
+
+    #[test]
+    fn a_zero_span_domain_collapses_the_model() {
+        let inp = ModelInput {
+            n: 50,
+            lambda_s: 0.0,
+            lambda_q: 0.0,
+            span: 0,
+        };
+        assert_eq!(inp.max_m(), 0);
+        assert_eq!(inp.expected_results(), 50.0, "every point query hits all");
+        assert_eq!(m_opt(&inp, &Betas::DEFAULT, 0.03), 0);
+        let data = vec![Interval::new(1, 7, 7), Interval::new(2, 7, 7)];
+        assert_eq!(ModelInput::from_data(&data, 0.0).max_m(), 0);
+    }
+
+    #[test]
+    fn point_intervals_are_never_replicated() {
+        let points = ModelInput {
+            lambda_s: 0.0,
+            ..input()
+        };
+        for m in [1, 8, points.max_m(), 40] {
+            assert_eq!(replication_factor(&points, m), 1.0, "m = {m}");
+        }
+        // m beyond m' is clamped, not extrapolated
+        let inp = input();
+        assert_eq!(
+            replication_factor(&inp, inp.max_m() + 10),
+            replication_factor(&inp, inp.max_m())
+        );
+    }
+
+    #[test]
     fn measured_betas_are_positive_and_sane() {
         let b = measure_betas();
         assert!(b.cmp > 0.0 && b.acc > 0.0);

@@ -1189,6 +1189,51 @@ mod tests {
     }
 
     #[test]
+    fn seal_all_on_a_clean_pool_changes_no_answer() {
+        let direct = sharded(4, true);
+        let mut pool = ShardPool::new(direct.clone());
+        for _ in 0..2 {
+            pool.seal_all();
+            assert_all_read_paths_match(&pool, &direct);
+        }
+        assert_eq!(pool.len(), direct.len());
+        assert_eq!(loans_out(&pool), [0; 4]);
+    }
+
+    #[test]
+    fn shard_bounds_tile_the_domain() {
+        for k in [1, 3, 4, 8] {
+            let pool = ShardPool::new(sharded(k, false));
+            let bounds = pool.shard_bounds();
+            assert_eq!(pool.shard_count(), k);
+            assert_eq!(bounds.len(), k);
+            assert_eq!(pool.domain(), (bounds[0].0, bounds[k - 1].1), "k={k}");
+            for w in bounds.windows(2) {
+                assert_eq!(w[0].1 + 1, w[1].0, "k={k}: gap or overlap");
+            }
+            assert!(!pool.is_empty());
+            assert_eq!(pool.len(), data().len());
+        }
+    }
+
+    #[test]
+    fn a_repeated_or_absent_delete_leaves_len_alone() {
+        let mut direct = sharded(4, true);
+        let mut pool = ShardPool::new(direct.clone());
+        let victim = data()[42];
+        assert!(pool.delete(&victim));
+        assert!(direct.delete(&victim));
+        let live = pool.len();
+        assert!(!pool.delete(&victim), "already gone");
+        // an unknown id at a stored interval's endpoints
+        let other = data()[43];
+        assert!(!pool.delete(&Interval::new(990_000, other.st, other.end)));
+        assert_eq!(pool.len(), live);
+        assert_eq!(pool.len(), direct.len());
+        assert_all_read_paths_match(&pool, &direct);
+    }
+
+    #[test]
     fn unbounded_batches_dispatch_every_routed_entry() {
         let pool = ShardPool::new(sharded(4, true));
         let queries: Vec<RangeQuery> = (0..8).map(|_| RangeQuery::new(0, 16_383)).collect();

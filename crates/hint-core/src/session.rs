@@ -426,6 +426,98 @@ mod tests {
     }
 
     #[test]
+    fn an_absent_delete_after_a_write_keeps_the_session_dirty() {
+        let mut s = session();
+        s.try_insert(Interval::new(5_000, 10, 20)).unwrap();
+        assert!(!s.delete(&Interval::new(777_777, 5, 9)));
+        assert!(s.is_dirty(), "a miss must not clear a pending write");
+        assert!(s.seal_if_dirty());
+    }
+
+    #[test]
+    fn new_unsealed_starts_dirty_until_its_first_seal() {
+        let mut s = Session::new_unsealed(build());
+        let oracle = ScanOracle::new(&data());
+        assert!(s.is_dirty());
+        let q = RangeQuery::new(500, 1_500);
+        assert_eq!(solo_sorted(&s, q), oracle.query_sorted(q), "unsealed read");
+        assert!(s.seal_if_dirty());
+        assert!(!s.is_dirty());
+        assert!(!s.seal_if_dirty(), "a second seal has nothing to do");
+        assert_eq!(solo_sorted(&s, q), oracle.query_sorted(q), "sealed read");
+        assert_eq!(s.len(), data().len());
+    }
+
+    #[test]
+    fn one_reseal_folds_every_pending_write_across_shards() {
+        let mut s = session();
+        let mut oracle = ScanOracle::new(&data());
+        // one interval per shard plus one spanning all four
+        let fresh = [
+            Interval::new(30_000, 10, 50),
+            Interval::new(30_001, 1_100, 1_200),
+            Interval::new(30_002, 2_100, 2_900),
+            Interval::new(30_003, 3_500, 4_095),
+            Interval::new(30_004, 0, 4_095),
+        ];
+        for f in fresh {
+            s.try_insert(f).unwrap();
+            oracle.insert(f);
+        }
+        for victim in [data()[7], data()[301]] {
+            assert!(s.delete(&victim));
+            oracle.delete(victim.id);
+        }
+        assert_eq!(s.len(), data().len() + fresh.len() - 2);
+        assert!(s.seal_if_dirty());
+        assert!(!s.seal_if_dirty());
+        for q in (0..4_096)
+            .step_by(512)
+            .map(|st| RangeQuery::new(st, st + 700))
+        {
+            assert_eq!(solo_sorted(&s, q), oracle.query_sorted(q), "{q:?}");
+        }
+        assert_eq!(s.len(), data().len() + fresh.len() - 2);
+    }
+
+    #[test]
+    fn live_intervals_are_id_sorted_and_track_writes() {
+        let mut s = session();
+        let fresh = Interval::new(40_000, 1_000, 3_000);
+        s.try_insert(fresh).unwrap();
+        let victim = data()[12];
+        assert!(s.delete(&victim));
+        let live = s.live_intervals().unwrap();
+        assert!(!s.is_dirty(), "live_intervals reseals first");
+        let mut want: Vec<Interval> = data().into_iter().filter(|x| x.id != victim.id).collect();
+        want.push(fresh);
+        assert_eq!(live, want, "sorted by id, one entry per live interval");
+    }
+
+    #[test]
+    fn fan_out_result_counts_train_the_first_routed_shard() {
+        let s = session();
+        let q = RangeQuery::new(1_100, 2_600); // shards 1 and 2
+        let (lo, hi) = s.pool().router().route(q);
+        assert!(lo < hi, "the probe must span shards");
+        let extent = q.end - q.st;
+        assert_eq!(s.result_counts[lo].expected_results(extent), None);
+        let mut sinks = vec![Vec::new()];
+        s.query_batch_merge(&[q], &mut sinks);
+        let n = sinks[0].len();
+        assert_eq!(s.result_counts[lo].expected_results(extent), Some(n));
+        for (i, h) in s.result_counts.iter().enumerate() {
+            if i != lo {
+                assert_eq!(h.expected_results(extent), None, "shard {i}");
+            }
+        }
+        // streaming sinks report no count and leave the hint alone
+        let mut exists = vec![ExistsSink::new()];
+        s.query_batch_merge(&[RangeQuery::new(1_100, 1_101)], &mut exists);
+        assert_eq!(s.result_counts[lo].expected_results(1), None);
+    }
+
+    #[test]
     fn batch_merge_matches_solo() {
         let s = session();
         let queries: Vec<RangeQuery> = (0..32)

@@ -206,4 +206,59 @@ mod tests {
         h.record_results(0, 3);
         assert_eq!(h.expected_results(0), Some(3));
     }
+
+    #[test]
+    fn expected_results_is_the_truncated_mean() {
+        let h = ExtentHistogram::new();
+        h.record_results(u64::MAX, 1);
+        h.record_results(u64::MAX - 7, 2); // same top bucket
+        assert_eq!(h.expected_results(1 << 63), Some(1));
+        h.record_results(12, 0);
+        assert_eq!(h.expected_results(8), Some(0), "a zero mean is a hint");
+    }
+
+    #[test]
+    fn concurrent_recorders_lose_no_observation() {
+        let h = ExtentHistogram::new();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let h = &h;
+                scope.spawn(move || {
+                    for _ in 0..1_000 {
+                        h.record_results(100, 10 + 2 * t as usize);
+                    }
+                });
+            }
+        });
+        // (10 + 12 + 14 + 16) / 4: any lost increment skews the mean
+        assert_eq!(h.expected_results(100), Some(13));
+        assert_eq!(h.result_obs[bucket_of(100)].load(Ordering::Relaxed), 4_000);
+    }
+
+    #[test]
+    fn query_stats_merge_sums_every_counter() {
+        let mut a = QueryStats {
+            partitions_accessed: 1,
+            partitions_compared: 2,
+            comparisons: 3,
+            results: 4,
+        };
+        a.merge(&QueryStats {
+            partitions_accessed: 10,
+            partitions_compared: 20,
+            comparisons: 30,
+            results: 40,
+        });
+        assert_eq!(
+            a,
+            QueryStats {
+                partitions_accessed: 11,
+                partitions_compared: 22,
+                comparisons: 33,
+                results: 44,
+            }
+        );
+        a.merge(&QueryStats::default());
+        assert_eq!(a.results, 44, "merging an empty record is a no-op");
+    }
 }

@@ -572,6 +572,123 @@ mod tests {
     }
 
     #[test]
+    fn put_ids_matches_per_id_encoding_across_its_stack_chunk() {
+        for n in [0u64, 1, 127, 128, 129, 300] {
+            let ids: Vec<IntervalId> = (0..n).map(|i| i ^ 0xA5A5_0000_0000_0001).collect();
+            let mut got = BytesMut::new();
+            put_ids(&mut got, &ids);
+            let want: Vec<u8> = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+            assert_eq!(got.as_slice(), want.as_slice(), "n = {n}");
+        }
+    }
+
+    /// Three records: `1` = [0, 10], `2` = [5, 50], `3` = [40, 45].
+    fn records() -> Records {
+        Arc::new(HashMap::from([
+            (1, Interval::new(1, 0, 10)),
+            (2, Interval::new(2, 5, 50)),
+            (3, Interval::new(3, 40, 45)),
+        ]))
+    }
+
+    fn reply_of(sink: ServeSink) -> (Vec<IntervalId>, Reply) {
+        let mut out = BytesMut::new();
+        sink.into_reply(&mut out);
+        decode(out)
+    }
+
+    #[test]
+    fn shed_slot_replies_overloaded_and_ignores_emissions() {
+        let mut sink = ServeSink::Shed;
+        assert!(sink.is_saturated(), "a shed slot must cost no walk");
+        sink.emit(1);
+        sink.emit_slice(&[2, 3]);
+        let (ids, reply) = reply_of(sink);
+        assert!(ids.is_empty());
+        assert_eq!(
+            reply,
+            Reply {
+                status: Status::Overloaded,
+                count: 0
+            }
+        );
+    }
+
+    #[test]
+    fn empty_slot_replies_ok_with_a_zero_count() {
+        let mut sink = ServeSink::Empty;
+        assert!(sink.is_saturated());
+        sink.emit(9);
+        let (ids, reply) = reply_of(sink);
+        assert!(ids.is_empty());
+        assert_eq!(
+            reply,
+            Reply {
+                status: Status::Ok,
+                count: 0
+            }
+        );
+    }
+
+    #[test]
+    fn only_range_sinks_adopt_arena_runs() {
+        let q = RangeQuery::new(20, 60);
+        let arena = Arc::new(vec![1, 2, 3]);
+        let mut sinks = [
+            ServeSink::range(),
+            ServeSink::allen(hint_core::AllenRelation::During, q, records()),
+            ServeSink::top_k(2, records()),
+            ServeSink::histogram(q, 100, records()),
+        ];
+        let adopts: Vec<bool> = sinks.iter().map(|s| s.wants_arenas()).collect();
+        assert_eq!(adopts, [true, false, false, false]);
+        // the others still see every id of a run handed to them
+        for s in &mut sinks {
+            s.emit_arena(&ArenaRun::new(Arc::clone(&arena), 0, 3));
+        }
+        let [range, allen, top, hist] = sinks;
+        assert_eq!(reply_of(range).0, [1, 2, 3]);
+        assert_eq!(reply_of(allen).0, [3]);
+        assert_eq!(reply_of(top).0, [2, 1]);
+        assert_eq!(reply_of(hist).0, [2]);
+    }
+
+    #[test]
+    fn allen_sink_encodes_only_matching_candidates() {
+        let q = RangeQuery::new(0, 20);
+        let mut sink = ServeSink::allen(hint_core::AllenRelation::Starts, q, records());
+        assert!(!sink.is_saturated());
+        // 1 starts q; 2 overlaps it; 3 lies past it; 77 is unknown
+        sink.emit_slice(&[1, 2, 3, 77]);
+        let (ids, reply) = reply_of(sink);
+        assert_eq!(ids, [1]);
+        assert_eq!(reply.count, 1);
+    }
+
+    #[test]
+    fn top_k_reply_ranks_by_duration_then_id() {
+        let mut sink = ServeSink::top_k(2, records());
+        sink.emit(3);
+        sink.emit(1);
+        sink.emit(2);
+        let (ids, reply) = reply_of(sink);
+        // durations: 2 → 45, 1 → 10, 3 → 5
+        assert_eq!(ids, [2, 1]);
+        assert_eq!(reply.count, 2);
+    }
+
+    #[test]
+    fn histogram_reply_carries_one_count_per_bucket() {
+        let q = RangeQuery::new(0, 49);
+        let mut sink = ServeSink::histogram(q, 20, records());
+        sink.emit_slice(&[1, 2, 3]);
+        let (counts, reply) = reply_of(sink);
+        // buckets [0,19], [20,39], [40,59]: 1 and 2 / 2 / 2 and 3
+        assert_eq!(counts, [2, 1, 2]);
+        assert_eq!(reply.count, 3, "the trailer counts buckets");
+    }
+
+    #[test]
     fn decode_helper_rejects_garbage() {
         // guard the test helper itself: a truncated buffer must not
         // decode quietly
